@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .errors import BssError, CertificateError
 from .exact import NumberField, RatInterval, UniPoly, parse_rational, format_rational
@@ -192,9 +193,11 @@ def required_input(args, fields) -> tuple:
     return parse_input_tuple(args.input, fields)
 
 
-def emit(args, obj: dict, text: str) -> None:
+def emit(args, build_json: Callable[[], dict], text: str) -> None:
+    """Print the text form, or under --format json the object build_json()
+    returns; text mode never builds the JSON form."""
     if args.format == "json":
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(build_json(), indent=2))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -226,7 +229,7 @@ def cmd_run(args) -> int:
     if result.output is not None:
         rendered = ", ".join(_render_value(v) for v in result.output)
         lines.append(f"output: ({rendered})")
-    emit(args, trace_to_json(trace), "\n".join(lines))
+    emit(args, lambda: trace_to_json(trace), "\n".join(lines))
     return 0
 
 
@@ -264,7 +267,7 @@ def cmd_shadow(args) -> int:
                  f"max value degree {report.max_value_degree}")
     for msg in report.failures:
         lines.append(f"  failure: {msg}")
-    emit(args, shadow_to_json(trace, report), "\n".join(lines))
+    emit(args, lambda: shadow_to_json(trace, report), "\n".join(lines))
     return 0 if report.ok else 1
 
 
@@ -287,7 +290,7 @@ def cmd_paths(args) -> int:
         fk = f" ({leaf.fault_kind})" if leaf.fault_kind else ""
         lines.append(f"  [{' '.join(leaf.history) or 'root'}] {leaf.outcome}{fk}:"
                      f" {conds or 'no constraints'}{extra}{outs}{mz}")
-    emit(args, tree_to_json(tree), "\n".join(lines))
+    emit(args, lambda: tree_to_json(tree), "\n".join(lines))
     return 0
 
 
@@ -318,7 +321,7 @@ def cmd_certify(args) -> int:
         for s in report.samples:
             if not s.ok:
                 lines.append(f"  MISMATCH at ({', '.join(map(str, s.point))}): {s.detail}")
-    emit(args, certificate_to_json(cert, report), "\n".join(lines))
+    emit(args, lambda: certificate_to_json(cert, report), "\n".join(lines))
     return 0 if report.ok else 1
 
 
@@ -346,7 +349,7 @@ def cmd_witness(args) -> int:
                      f"ground truth: {report.ground_truth}")
     for note in report.notes:
         lines.append(f"note: {note}")
-    emit(args, witness_to_json(report), "\n".join(lines))
+    emit(args, lambda: witness_to_json(report), "\n".join(lines))
     return 0
 
 
@@ -356,9 +359,9 @@ def cmd_cantor(args) -> int:
     if args.member is not None:
         x = _cantor_arg(args.member)
         is_member = cantor_membership(x)
-        obj = {"kind": "cantor_membership", "input": format_rational(x),
-               "member": is_member}
-        emit(args, obj, f"{format_rational(x)} ({ternary_string(x)}) is "
+        emit(args, lambda: {"kind": "cantor_membership", "input": format_rational(x),
+                            "member": is_member},
+             f"{format_rational(x)} ({ternary_string(x)}) is "
              f"{'a member' if is_member else 'not a member'} of the middle-thirds set")
         return 0
     x = _cantor_arg(args.decompose)
@@ -372,7 +375,7 @@ def cmd_cantor(args) -> int:
         f"c2 = {format_rational(pair.c2)} ({ternary_string(pair.c2)})",
         f"check: c1 + c2/2 = x {'exactly' if exact else 'FAILED'}",
     ])
-    emit(args, cantor_to_json(x, pair), text)
+    emit(args, lambda: cantor_to_json(x, pair), text)
     return 0 if exact else 1
 
 
@@ -392,7 +395,7 @@ def cmd_stdlib(args) -> int:
     entries = [{"name": name, "arity": stdlib_program(name).arity}
                for name in stdlib_names()]
     text = "\n".join(f"{e['name']} (arity {e['arity']})" for e in entries)
-    emit(args, {"kind": "stdlib", "entries": entries}, text)
+    emit(args, lambda: {"kind": "stdlib", "entries": entries}, text)
     return 0
 
 

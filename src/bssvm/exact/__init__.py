@@ -10,6 +10,7 @@ from .sturm import (
     cauchy_bound,
     sturm_isolate,
     refine_interval,
+    qir_step,
 )
 from .interval import RatInterval, eval_unipoly_interval
 from .numberfield import (
@@ -43,6 +44,7 @@ __all__ = [
     "cauchy_bound",
     "sturm_isolate",
     "refine_interval",
+    "qir_step",
     "RatInterval",
     "eval_unipoly_interval",
     "NumberField",

@@ -4,9 +4,13 @@ A :class:`NumberField` is Q[X] modulo a monic squarefree polynomial together
 with an isolating interval that pins down one distinguished real root.  An
 :class:`AlgebraicNumber` is a coordinate vector over the power basis of its
 field.  All comparisons are exact: a sign query refines the generator's
-isolating interval by bisection until interval evaluation of the coordinate
-polynomial excludes zero, and the zero element is recognised from its
-coordinates alone so refinement always terminates.
+isolating interval by quadratic interval refinement until interval
+evaluation of the coordinate polynomial excludes zero.  The zero element is
+recognised from its coordinates alone.  A field polynomial is only checked
+to be squarefree, so a nonzero coordinate vector may still vanish at the
+distinguished root; when the first evaluation leaves the sign open, a Sturm
+count of gcd(element, field polynomial) on the box recognises that case, so
+refinement always terminates.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ from fractions import Fraction
 
 from ..errors import BssError, FieldMismatchError, PoleError
 from .unipoly import UniPoly, poly_ext_gcd
-from .sturm import sturm_chain, count_roots_open, refine_interval, squarefree_part
+from .sturm import sturm_chain, count_roots_open, qir_step, squarefree_part
 from .interval import RatInterval, eval_unipoly_interval
 
 
 class NumberField:
     """Q(alpha) for a distinguished real root alpha of a monic polynomial."""
 
-    __slots__ = ("min_poly", "interval", "_box", "_chain")
+    __slots__ = ("min_poly", "interval", "_box", "_grid", "_chain")
 
     def __init__(self, min_poly: UniPoly, interval: RatInterval):
         if min_poly.degree < 1:
@@ -42,6 +46,7 @@ class NumberField:
         self.min_poly = min_poly
         self.interval = interval          # as constructed; never mutated
         self._box = interval              # refinement cache, only shrinks
+        self._grid = 4                    # grid size of the next refinement step
         self._chain = None
 
     @property
@@ -57,9 +62,15 @@ class NumberField:
         return self._box
 
     def refine(self) -> RatInterval:
-        """One bisection step on the generator's enclosure."""
+        """One quadratic interval refinement step on the generator's enclosure.
+
+        A step that succeeds narrows the box by the current grid size and
+        squares it; one that fails bisects.  The box becomes a point when a
+        grid point is the root itself.
+        """
         if self._box.lo != self._box.hi:
-            lo, hi = refine_interval(self.min_poly, self._box.lo, self._box.hi)
+            (lo, hi), self._grid = qir_step(self.min_poly, self._box.lo,
+                                            self._box.hi, self._grid)
             self._box = RatInterval(lo, hi)
         return self._box
 
@@ -214,12 +225,20 @@ class AlgebraicNumber:
             c = self.coords[0]
             return 0 if c == 0 else (1 if c > 0 else -1)
         fld = self.field
-        while True:
-            box = fld.enclosure()
-            s = eval_unipoly_interval(self.coords, box).sign()
-            if s is not None:
-                return s
+        box = fld.enclosure()
+        s = eval_unipoly_interval(self.coords, box).sign()
+        if s is None:
+            # A reducible field polynomial lets a nonzero coordinate vector
+            # vanish at the root, and then no box decides the sign.  The
+            # root is a zero of the element iff it is a zero of the gcd, and
+            # it is the only root of the field polynomial in the box.
+            g = UniPoly(self.coords).gcd(fld.min_poly)
+            if g.degree > 0 and count_roots_open(g, box.lo, box.hi) > 0:
+                return 0
+        while s is None:
             fld.refine()
+            s = eval_unipoly_interval(self.coords, fld.enclosure()).sign()
+        return s
 
     def __eq__(self, other) -> bool:
         try:

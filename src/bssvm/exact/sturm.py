@@ -5,12 +5,15 @@ p_{k+1} = -(p_{k-1} mod p_k) until the remainder vanishes.  The number of
 distinct real roots of a squarefree p in the open interval (a, b) equals
 V(a) - V(b), where V(t) counts sign changes along the chain evaluated at t.
 Root counting always runs on the squarefree part so repeated roots are
-counted once.
+counted once.  An isolating interval is narrowed by quadratic interval
+refinement (qir_step), which falls back to one bisection (refine_interval)
+when its secant guess misses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from ..errors import BssError
 from .unipoly import UniPoly
@@ -136,3 +139,33 @@ def refine_interval(p: UniPoly, a: Fraction, b: Fraction) -> tuple[Fraction, Fra
     if (va > 0) != (vm > 0):
         return (a, mid)
     return (mid, b)
+
+
+def qir_step(p: UniPoly, a: Fraction, b: Fraction,
+             n: int) -> tuple[tuple[Fraction, Fraction], int]:
+    """One quadratic interval refinement step (Abbott, 2006).
+
+    Requires exactly one root of squarefree p in (a, b) and a grid size
+    n >= 2.  The secant through (a, p(a)) and (b, p(b)) is
+    snapped to the grid of n subintervals; when the root lies in the grid
+    cell next to that point, the interval shrinks by a factor n and the grid
+    size becomes n^2.  Otherwise one bisection is taken and the grid size
+    drops to max(4, sqrt(n)).  A grid point that is exactly the root becomes
+    the point interval (x, x).  Returns the new interval and grid size.
+    """
+    fa, fb = p.eval_fraction(a), p.eval_fraction(b)
+    w = (b - a) / n
+    k = min(max(round(n * fa / (fa - fb)), 1), n - 1)
+    x = a + k * w
+    fx = p.eval_fraction(x)
+    if fx == 0:
+        return (x, x), n
+    # The neighbour on the root's side of x; grid ends are a and b.
+    j = k + 1 if (fx > 0) == (fa > 0) else k - 1
+    y = a + j * w
+    fy = fa if j == 0 else fb if j == n else p.eval_fraction(y)
+    if fy == 0:
+        return (y, y), n
+    if (fy > 0) != (fx > 0):
+        return (min(x, y), max(x, y)), n * n
+    return refine_interval(p, a, b), max(4, isqrt(n))

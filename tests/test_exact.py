@@ -25,6 +25,7 @@ from bssvm.exact import (
     nth_root_field,
     parse_rational,
     poly_ext_gcd,
+    qir_step,
     rf_eval,
     sign_at,
     sign_variations,
@@ -336,6 +337,68 @@ def test_sign_agrees_with_narrow_enclosure():
                 assert box.sign() == s
             else:
                 assert box.contains_zero()
+
+
+# -- quadratic interval refinement ------------------------------------------
+
+def test_qir_step_success_narrows_by_grid_and_squares_it():
+    # secant of X^2 - 2 on (1, 2) lands on grid point 5/4; 3/2 brackets
+    p = UniPoly.parse("X^2 - 2")
+    assert qir_step(p, F(1), F(2), 4) == ((F(5, 4), F(3, 2)), 16)
+
+
+def test_qir_step_failure_bisects_and_shrinks_grid():
+    # the secant of X^5 - 2 on (0, 2) points far left of 2^(1/5)
+    p = UniPoly.parse("X^5 - 2")
+    assert qir_step(p, F(0), F(2), 16) == ((F(1), F(2)), 4)
+    assert qir_step(p, F(0), F(2), 4) == ((F(1), F(2)), 4)
+
+
+@pytest.mark.parametrize("poly, lo, hi", [
+    ("X^2 - 2", 1, 2),
+    ("X^2 - 2", 0, 100),          # secant far off: fallback bisections
+    ("X^3 - 2", 1, 2),
+    ("X^3 - 3*X + 1", 0, 1),      # middle one of three real roots
+    ("X^5 - 2", 1, 2),
+    ("X^5 - 4*X + 2", 0, 1),
+    ("X^3 - X", F(1, 2), F(3, 2)),  # a grid point is the root 1
+])
+def test_refine_keeps_exactly_one_root_in_box(poly, lo, hi):
+    field = NumberField(UniPoly.parse(poly), RatInterval(lo, hi))
+    prev = field.enclosure()
+    for _ in range(10):
+        box = field.refine()
+        assert prev.lo <= box.lo <= box.hi <= prev.hi
+        if box.lo == box.hi:
+            assert field.min_poly.eval_fraction(box.lo) == 0
+        else:
+            assert count_roots_open(field.min_poly, box.lo, box.hi) == 1
+        prev = box
+
+
+def test_refine_stops_on_exact_root():
+    field = NumberField(UniPoly.parse("X^3 - X"), RatInterval(F(1, 2), F(3, 2)))
+    assert field.refine() == RatInterval.point(1)
+    assert field.refine() == RatInterval.point(1)
+    assert (field.generator() - 1).sign() == 0
+
+
+def test_sign_at_2000_bits_takes_few_refine_steps(monkeypatch):
+    bits = 2000
+    # floor(2^(1/5) * 2^bits) by integer bisection
+    lo, hi = 1 << bits, 2 << bits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** 5 <= 2 << (5 * bits) else (lo, mid)
+    r = F(lo, 1 << bits)
+    field, root = nth_root_field(2, 5)
+    calls = []
+    refine = NumberField.refine
+    monkeypatch.setattr(NumberField, "refine",
+                        lambda self: calls.append(1) or refine(self))
+    assert (root - r).sign() == 1
+    assert (root - (r + F(1, 1 << bits))).sign() == -1
+    assert len(calls) <= 32
 
 
 # -- interval arithmetic -----------------------------------------------------

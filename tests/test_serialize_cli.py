@@ -1,11 +1,17 @@
 """Serialization schemas and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import bssvm
+from bssvm import cli
 from bssvm.cli import main
 from bssvm.exact import nth_root_field
 from bssvm.machine import run_concrete
@@ -86,6 +92,23 @@ def test_run_with_field_literal(capsys):
     assert code == 0
     jsonschema.validate(doc, SCHEMAS["trace"])
     assert doc["output"] == ["1"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a=X^2 - 1;0;2", "(a:(-1,1))"),
+    ("a=X^4 - 5*X^2 + 6;1;3/2", "(a:(-2,0,1,0))"),
+])
+def test_run_on_reducible_field_decides_zero(field, value):
+    # The element vanishes at the chosen root of a reducible field
+    # polynomial.  Run apart so that a hang fails the test, not the suite.
+    src = str(Path(bssvm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bssvm.cli", "run", "--stdlib", "sgn",
+         "--field", field, "--input", value],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "output: (0)" in proc.stdout
 
 
 def test_run_program_file(tmp_path, capsys):
@@ -272,6 +295,24 @@ def test_usage_errors_go_to_stderr(capsys):
 
 
 # -- schema self-checks --------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--stdlib", "sgn", "--input", "(-3)", "--trace"),
+    ("shadow", "--stdlib", "sgn", "--input", "(-3)"),
+    ("paths", "--stdlib", "sgn"),
+    ("certify", "--stdlib", "sgn", "--input", "(2)"),
+    ("witness", "--stdlib", "oracle_member", "--oracle", "rationals",
+     "--input", "(5, 7)"),
+    ("cantor", "--decompose", "73/81"),
+])
+def test_text_output_builds_no_json(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("JSON form built in text mode")
+    for kind in ("trace", "shadow", "tree", "certificate", "witness", "cantor"):
+        monkeypatch.setattr(cli, f"{kind}_to_json", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+
 
 def test_schemas_are_valid_drafts():
     for name, schema in SCHEMAS.items():
