@@ -28,6 +28,7 @@ from .machine import (
     parse_program,
     run_concrete,
     cantor_membership,
+    normalize_input,
     trace_to_text,
 )
 from .serialize import (
@@ -135,9 +136,9 @@ def parse_oracle_spec(text: str) -> Oracle:
     if s == "empty":
         return Oracle.empty()
     if s.startswith("deg="):
-        return Oracle.degree_eq(_positive_int(s[4:], "oracle degree"))
+        return Oracle.degree_eq(_int_at_least(s[4:], "oracle degree", 1))
     if s.startswith("degle="):
-        return Oracle.degree_leq(_positive_int(s[6:], "oracle degree"))
+        return Oracle.degree_leq(_int_at_least(s[6:], "oracle degree", 1))
     if s.startswith("finite:"):
         path = s[len("finite:"):]
         try:
@@ -149,13 +150,13 @@ def parse_oracle_spec(text: str) -> Oracle:
     raise UsageError(f"unknown oracle spec {text!r}")
 
 
-def _positive_int(text: str, what: str) -> int:
+def _int_at_least(text: str, what: str, least: int) -> int:
     try:
         n = int(text)
     except ValueError:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
-    if n < 1:
-        raise UsageError(f"{what} must be positive")
+    if n < least:
+        raise UsageError(f"{what} must be at least {least}, got {n}")
     return n
 
 
@@ -187,10 +188,20 @@ def registered_fields(args) -> dict[str, NumberField]:
     return fields
 
 
-def required_input(args, fields) -> tuple:
+def run_setup(args) -> tuple[Program, Oracle, tuple]:
+    """The program, oracle and input tuple of a command that runs a program;
+    an input whose length is not the program's arity is a usage error."""
+    fields = registered_fields(args)
+    program = load_program(args)
+    oracle = parse_oracle_spec(args.oracle)
     if args.input is None:
         raise UsageError("--input is required for this command")
-    return parse_input_tuple(args.input, fields)
+    values = parse_input_tuple(args.input, fields)
+    try:
+        values = normalize_input(program, values)
+    except BssError as exc:
+        raise UsageError(str(exc)) from None
+    return program, oracle, values
 
 
 def emit(args, build_json: Callable[[], dict], text: str) -> None:
@@ -215,10 +226,7 @@ def fail_record(args, kind: str, detail: str) -> int:
 
 
 def cmd_run(args) -> int:
-    fields = registered_fields(args)
-    program = load_program(args)
-    oracle = parse_oracle_spec(args.oracle)
-    values = required_input(args, fields)
+    program, oracle, values = run_setup(args)
     result, trace = run_concrete(program, values, oracle=oracle, budget=args.budget)
     lines = []
     if args.trace:
@@ -245,10 +253,7 @@ def _render_value(v) -> str:
 
 
 def cmd_shadow(args) -> int:
-    fields = registered_fields(args)
-    program = load_program(args)
-    oracle = parse_oracle_spec(args.oracle)
-    values = required_input(args, fields)
+    program, oracle, values = run_setup(args)
     trace = shadow_trace(program, values, oracle=oracle, budget=args.budget)
     report = field_boundary_check(trace)
     lines = [f"outcome: {trace.outcome}"
@@ -295,10 +300,7 @@ def cmd_paths(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    fields = registered_fields(args)
-    program = load_program(args)
-    oracle = parse_oracle_spec(args.oracle)
-    values = required_input(args, fields)
+    program, oracle, values = run_setup(args)
     trace = shadow_trace(program, values, oracle=oracle, budget=args.budget)
     if trace.outcome != "halted":
         return fail_record(args, "certify",
@@ -326,10 +328,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    fields = registered_fields(args)
-    program = load_program(args)
-    oracle = parse_oracle_spec(args.oracle)
-    probe = required_input(args, fields)
+    program, oracle, probe = run_setup(args)
     try:
         x1 = parse_rational(args.x1)
     except BssError as exc:
@@ -416,7 +415,8 @@ def _add_common(p, *, input_flag=True, oracle_flag=True, budget_flag=True):
                        metavar="rationals|algebraic|deg=d|degle=d|cantor|finite:PATH|empty",
                        help="membership oracle (default: empty)")
     if budget_flag:
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=lambda t: _int_at_least(t, "--budget", 1),
+                       default=DEFAULT_BUDGET,
                        help=f"step budget (default {DEFAULT_BUDGET})")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -438,14 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", help="explore the program's branch tree symbolically")
     _add_common(p, input_flag=False, budget_flag=False)
-    p.add_argument("--depth", type=int, default=12, help="fork budget (default 12)")
+    p.add_argument("--depth", type=lambda t: _int_at_least(t, "--depth", 0), default=12,
+                   help="fork budget (default 12)")
     p.add_argument("--oracle-policy", choices=["generic", "split"],
                    default="generic", dest="oracle_policy")
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("certify", help="certify a neighborhood of constant behavior")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=lambda t: _int_at_least(t, "--samples", 1),
+                   default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_certify)
 
@@ -472,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: integer flags raise UsageError while parsing
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,18 +1,8 @@
-"""Concrete interpreter.
+"""Concrete interpreter: the execution core (core.py) over exact values.
 
-Execution model: an unbounded, Z-indexed sparse tape of exact values plus a
-window offset.  A cell operand c<i> addresses absolute cell offset+i.  SHIFTR
-and SHIFTL move the window by one.  Reading a never-written cell is a
-blank_read fault; the declared ZERO window (absolute, at offset 0) and the
-input cells 0..k-1 are pre-written.  Division by an exact zero is a
-division_by_zero fault, and an oracle that cannot decide its query is an
-oracle_unsupported fault.
-
-OUTPUT c<lo>..c<hi> halts and emits absolute cells [lo, offset+hi]: the low
-end is anchored to the initial frame, the high end rides the window, which
-is what lets a program emit a tuple whose length it chose at run time.  With
-the window at its initial position this is just [lo, hi].  An inverted range
-emits the empty tuple.
+The declared ZERO window (absolute, at offset 0) and the input cells 0..k-1
+are pre-written.  Division by an exact zero is a division_by_zero fault, and
+an oracle that cannot decide its query is an oracle_unsupported fault.
 
 Each executed instruction appends one step record: label, instruction,
 cells written (absolute), branch sign taken, oracle query and answer.
@@ -25,31 +15,12 @@ from fractions import Fraction
 
 from ..errors import BssError, PoleError
 from ..exact import AlgebraicNumber, format_rational, sign_at
-from .oracle import Oracle, OracleUnsupported, oracle_query
-from .program import (
-    Arith,
-    Branch,
-    Const,
-    Copy,
-    Instruction,
-    Jmp,
-    OracleCall,
-    Output,
-    Program,
-    Shift,
-    VAR_ARITY,
-    format_instruction,
-)
+from .core import (BLANK_READ, BUDGET_EXHAUSTED, DIVISION_BY_ZERO, FAULT,
+                   HALTED, ORACLE_UNSUPPORTED, compile_program, execute)
+from .oracle import Oracle, oracle_query
+from .program import Instruction, Program, VAR_ARITY, format_instruction
 
 Value = Fraction | AlgebraicNumber
-
-HALTED = "halted"
-BUDGET_EXHAUSTED = "budget_exhausted"
-FAULT = "fault"
-
-DIVISION_BY_ZERO = "division_by_zero"
-BLANK_READ = "blank_read"
-ORACLE_UNSUPPORTED = "oracle_unsupported"
 
 DEFAULT_BUDGET = 10**5
 
@@ -89,11 +60,6 @@ class Trace:
     result: RunResult
 
 
-class _Fault(Exception):
-    def __init__(self, kind: str):
-        self.kind = kind
-
-
 def normalize_input(program: Program, input_values) -> tuple[Value, ...]:
     values = tuple(v if isinstance(v, AlgebraicNumber) else Fraction(v) for v in input_values)
     if program.arity != VAR_ARITY and len(values) != program.arity:
@@ -101,12 +67,14 @@ def normalize_input(program: Program, input_values) -> tuple[Value, ...]:
     return values
 
 
-def initial_cells(program: Program, values: tuple[Value, ...]) -> dict[int, Value]:
-    cells: dict[int, Value] = {}
+def initial_cells(program: Program, values, zero=Fraction(0)) -> dict:
+    """The cells before the first step: the ZERO window holding zero, then
+    input i in cell i."""
+    cells = {}
     if program.zero_window is not None:
         lo, hi = program.zero_window
         for i in range(lo, hi + 1):
-            cells[i] = Fraction(0)
+            cells[i] = zero
     for i, v in enumerate(values):
         cells[i] = v
     return cells
@@ -120,85 +88,42 @@ def run_concrete(program: Program, input_values, oracle: Oracle | None = None,
     oracle = oracle if oracle is not None else Oracle.empty()
     values = normalize_input(program, input_values)
     cells = initial_cells(program, values)
-    labels = program.label_index()
-    instructions = program.instructions
-
-    offset = 0
-    pc = 0
     steps: list[StepRecord] = []
-    result: RunResult | None = None
 
-    def read(absolute: int) -> Value:
-        try:
-            return cells[absolute]
-        except KeyError:
-            raise _Fault(BLANK_READ) from None
+    def record(index, pc, writes, branch, oracle_event):
+        steps.append(StepRecord(index, *program.instructions[pc], writes,
+                                branch and branch[1], oracle_event))
 
-    while result is None:
-        if len(steps) >= budget:
-            result = RunResult(BUDGET_EXHAUSTED, None, len(steps))
-            break
-        label, instr = instructions[pc]
-        index = len(steps)
-        writes: tuple[tuple[int, Value], ...] = ()
-        branch_sign = None
-        oracle_event = None
-        next_pc = pc + 1
-        try:
-            if isinstance(instr, Const):
-                value = instr.value if instr.param is None else program.param_value(instr.param)
-                cells[offset + instr.dst] = value
-                writes = ((offset + instr.dst, value),)
-            elif isinstance(instr, Copy):
-                value = read(offset + instr.src)
-                cells[offset + instr.dst] = value
-                writes = ((offset + instr.dst, value),)
-            elif isinstance(instr, Arith):
-                a = read(offset + instr.src1)
-                b = read(offset + instr.src2)
-                if instr.op == "ADD":
-                    value = a + b
-                elif instr.op == "SUB":
-                    value = a - b
-                elif instr.op == "MUL":
-                    value = a * b
-                else:
-                    if sign_at(b) == 0:
-                        raise _Fault(DIVISION_BY_ZERO)
-                    try:
-                        value = a / b
-                    except (PoleError, ZeroDivisionError):
-                        raise _Fault(DIVISION_BY_ZERO) from None
-                cells[offset + instr.dst] = value
-                writes = ((offset + instr.dst, value),)
-            elif isinstance(instr, Branch):
-                branch_sign = sign_at(read(offset + instr.src))
-                target = {-1: instr.neg, 0: instr.zero, 1: instr.pos}[branch_sign]
-                next_pc = labels[target]
-            elif isinstance(instr, Jmp):
-                next_pc = labels[instr.target]
-            elif isinstance(instr, Shift):
-                offset += 1 if instr.direction == "right" else -1
-            elif isinstance(instr, OracleCall):
-                query = tuple(read(offset + i) for i in range(instr.lo, instr.hi + 1))
-                try:
-                    answer = oracle_query(oracle, query)
-                except OracleUnsupported:
-                    raise _Fault(ORACLE_UNSUPPORTED) from None
-                oracle_event = (query, answer)
-                next_pc = labels[instr.yes if answer else instr.no]
-            elif isinstance(instr, Output):
-                top = offset + instr.hi
-                output = tuple(read(i) for i in range(instr.lo, top + 1))
-                result = RunResult(HALTED, output, index + 1)
-            else:
-                raise BssError(f"unknown instruction {instr!r}")
-        except _Fault as fault:
-            result = RunResult(FAULT, None, index + 1, fault_kind=fault.kind)
-        steps.append(StepRecord(index, label, instr, writes, branch_sign, oracle_event))
-        pc = next_pc
-
+    status, _, _, count, payload = execute(
+        compile_program(program), cells, ConcreteDomain(oracle), budget, record=record)
+    result = RunResult(status, payload if status == HALTED else None, count,
+                       payload if status == FAULT else None)
     return result, Trace(program, values, oracle, steps, result)
+
+
+class ConcreteDomain:
+    """Exact values: every sign and oracle answer is decided."""
+
+    def __init__(self, oracle: Oracle):
+        self.oracle = oracle
+
+    @staticmethod
+    def const(q: Fraction) -> Value:
+        return q
+
+    @staticmethod
+    def div(a: Value, b: Value) -> Value | None:
+        if sign_at(b) == 0:
+            return None
+        try:
+            return a / b
+        except (PoleError, ZeroDivisionError):
+            return None
+
+    sign = staticmethod(sign_at)
+
+    def ask(self, query: tuple[Value, ...]) -> bool:
+        return oracle_query(self.oracle, query)
 
 
 # -- trace pretty printer --------------------------------------------------

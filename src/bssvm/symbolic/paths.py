@@ -13,6 +13,8 @@ loops between forks.
 
 Equality arms (sign 0) on nonconstant functions describe measure-zero input
 sets; their leaves are flagged so downstream consumers can skip them.
+
+Paths run on the execution core (machine/core.py) over rational functions.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from fractions import Fraction
 
 from ..errors import BssError
 from ..exact import (MultiPoly, RationalFunction, UniPoly, rf_eval, sign_at)
-from ..machine.interp import DEFAULT_BUDGET
-from ..machine.oracle import Oracle, OracleUnsupported, oracle_query
-from ..machine.program import (VAR_ARITY, Arith, Branch, Const, Copy, Jmp,
-                               OracleCall, Output, Program, Shift)
+from ..machine.core import (BRANCH, BUDGET_EXHAUSTED, FAULT, FORK, HALTED,
+                            compile_program, execute)
+from ..machine.oracle import Oracle, oracle_query
+from ..machine.program import VAR_ARITY, Program
+from .shadow import input_functions
 
 STEP_CAP = 10_000  # straight-line instructions between forks
 
@@ -100,19 +103,42 @@ class PathTree:
         return tuple(l for l in self.leaves if l.outcome == "halted")
 
 
-@dataclass
-class _State:
-    pc: int
-    offset: int
-    cells: dict[int, RationalFunction]
-    condition: PathCondition
-    history: tuple[str, ...]
-    forks: int
-    steps: int
+class _PathDomain:
+    """Rational functions of the inputs: a sign or an oracle answer is
+    decided when the function is constant or the path condition pins it.
+    With generic set, an open oracle answer is the oracle's generic one,
+    and the condition records the assumption."""
 
+    def __init__(self, oracle: Oracle, nvars: int, condition: PathCondition,
+                 generic: bool):
+        self.oracle = oracle
+        self.nvars = nvars
+        self.condition = condition
+        self.generic = generic
 
-class _SymBlankRead(Exception):
-    pass
+    def const(self, q: Fraction) -> RationalFunction:
+        return RationalFunction.constant(q, self.nvars)
+
+    def div(self, fa: RationalFunction, fb: RationalFunction) -> RationalFunction | None:
+        if fb.is_zero() or self.condition.sign_of(fb) == 0:
+            return None
+        # a nonconstant divisor with unknown sign is taken as nonzero; the
+        # zero fiber is measure zero
+        return fa / fb
+
+    def sign(self, f: RationalFunction) -> int | None:
+        if f.is_constant():
+            return sign_at(f.constant_value())
+        return self.condition.sign_of(f)
+
+    def ask(self, fns: tuple[RationalFunction, ...]) -> bool | None:
+        if all(f.is_constant() for f in fns):
+            return oracle_query(self.oracle, tuple(f.constant_value() for f in fns))
+        answer = self.condition.assumed(fns)
+        if answer is None and self.generic:
+            answer = self.oracle.generic_policy
+            self.condition = self.condition.with_assumption(fns, answer)
+        return answer
 
 
 def explore_paths(program: Program, arity: int | None = None,
@@ -134,133 +160,40 @@ def explore_paths(program: Program, arity: int | None = None,
     elif program.arity != VAR_ARITY and arity != program.arity:
         raise BssError(f"program {program.name} has arity {program.arity}, got {arity}")
     oracle = oracle if oracle is not None else Oracle.empty()
-    nvars = arity
-
-    base: dict[int, RationalFunction] = {}
-    if program.zero_window is not None:
-        lo, hi = program.zero_window
-        for i in range(lo, hi + 1):
-            base[i] = RationalFunction.constant(Fraction(0), nvars)
-    for i in range(nvars):
-        base[i] = RationalFunction.var(i, nvars)
-
-    labels = program.label_index()
-    instructions = program.instructions
+    code = compile_program(program)
     nodes: dict[tuple[str, ...], tuple] = {}
     leaves: list[PathLeaf] = []
 
-    def leaf(state: _State, outcome: str, outputs=None, fault_kind=None) -> None:
-        measure_zero = any(s == 0 for _, s in state.condition.constraints)
-        record = PathLeaf(state.history, state.condition, outcome, outputs,
-                          fault_kind, measure_zero, state.forks)
-        nodes[state.history] = ("leaf", record)
-        leaves.append(record)
-
-    stack = [_State(0, 0, dict(base), PathCondition(), (), 0, 0)]
+    # a state is (pc, offset, cells, condition, history, forks)
+    stack = [(0, 0, input_functions(program, arity), PathCondition(), (), 0)]
     while stack:
-        st = stack.pop()
+        pc, offset, cells, condition, history, forks = stack.pop()
+        # step_cap counts the instructions since the last fork
+        domain = _PathDomain(oracle, arity, condition, oracle_policy == "generic")
+        status, pc, offset, _, payload = execute(code, cells, domain, step_cap, pc, offset)
+        condition = domain.condition
+        if status == FORK and forks < depth_budget:
+            op, _, targets, yes, no = code[pc]
+            nodes[history] = ("branch" if op == BRANCH else "oracle", payload)
+            if op == BRANCH:  # reversed: the stack pops -1 first
+                arms = [(targets[s + 1], condition.with_constraint(payload, s), _SIGN_ARM[s])
+                        for s in (1, 0, -1)]
+            else:
+                arms = [(no, condition.with_assumption(payload, False), "no"),
+                        (yes, condition.with_assumption(payload, True), "yes")]
+            for target, arm_condition, arm in arms:
+                stack.append((target, offset, dict(cells), arm_condition,
+                              history + (arm,), forks + 1))
+            continue
 
-        def read(absolute: int) -> RationalFunction:
-            try:
-                return st.cells[absolute]
-            except KeyError:
-                raise _SymBlankRead() from None
-
-        while True:
-            if st.steps >= step_cap:
-                leaf(st, "budget_exhausted")
-                break
-            st.steps += 1
-            _, instr = instructions[st.pc]
-            st.pc += 1
-            try:
-                if isinstance(instr, Const):
-                    v = instr.value if instr.param is None else program.param_value(instr.param)
-                    st.cells[st.offset + instr.dst] = RationalFunction.constant(v, nvars)
-                elif isinstance(instr, Copy):
-                    st.cells[st.offset + instr.dst] = read(st.offset + instr.src)
-                elif isinstance(instr, Arith):
-                    fa = read(st.offset + instr.src1)
-                    fb = read(st.offset + instr.src2)
-                    if instr.op == "ADD":
-                        f = fa + fb
-                    elif instr.op == "SUB":
-                        f = fa - fb
-                    elif instr.op == "MUL":
-                        f = fa * fb
-                    else:
-                        if fb.is_zero() or st.condition.sign_of(fb) == 0:
-                            leaf(st, "fault", fault_kind="division_by_zero")
-                            break
-                        # a nonconstant divisor with unknown sign is taken
-                        # as nonzero; the zero fiber is measure zero
-                        f = fa / fb
-                    st.cells[st.offset + instr.dst] = f
-                elif isinstance(instr, Branch):
-                    f = read(st.offset + instr.src)
-                    arms = {-1: instr.neg, 0: instr.zero, 1: instr.pos}
-                    if f.is_constant():
-                        st.pc = labels[arms[sign_at(f.constant_value())]]
-                    else:
-                        pinned = st.condition.sign_of(f)
-                        if pinned is not None:
-                            st.pc = labels[arms[pinned]]
-                        elif st.forks >= depth_budget:
-                            leaf(st, "budget_exhausted")
-                            break
-                        else:
-                            nodes[st.history] = ("branch", f)
-                            for s in (1, 0, -1):  # reversed: stack pops -1 first
-                                stack.append(_State(
-                                    labels[arms[s]], st.offset, dict(st.cells),
-                                    st.condition.with_constraint(f, s),
-                                    st.history + (_SIGN_ARM[s],),
-                                    st.forks + 1, 0))
-                            break
-                elif isinstance(instr, Jmp):
-                    st.pc = labels[instr.target]
-                elif isinstance(instr, Shift):
-                    st.offset += 1 if instr.direction == "right" else -1
-                elif isinstance(instr, OracleCall):
-                    fns = tuple(read(st.offset + i)
-                                for i in range(instr.lo, instr.hi + 1))
-                    if all(f.is_constant() for f in fns):
-                        query = tuple(f.constant_value() for f in fns)
-                        answer = oracle_query(oracle, query)
-                        st.pc = labels[instr.yes if answer else instr.no]
-                    else:
-                        assumed = st.condition.assumed(fns)
-                        if assumed is not None:
-                            st.pc = labels[instr.yes if assumed else instr.no]
-                        elif oracle_policy == "generic":
-                            answer = oracle.generic_policy
-                            st.condition = st.condition.with_assumption(fns, answer)
-                            st.pc = labels[instr.yes if answer else instr.no]
-                        elif st.forks >= depth_budget:
-                            leaf(st, "budget_exhausted")
-                            break
-                        else:
-                            nodes[st.history] = ("oracle", fns)
-                            for answer, arm in ((False, "no"), (True, "yes")):
-                                stack.append(_State(
-                                    labels[instr.yes if answer else instr.no],
-                                    st.offset, dict(st.cells),
-                                    st.condition.with_assumption(fns, answer),
-                                    st.history + (arm,), st.forks + 1, 0))
-                            break
-                elif isinstance(instr, Output):
-                    top = st.offset + instr.hi
-                    outputs = tuple(read(i) for i in range(instr.lo, top + 1))
-                    leaf(st, "halted", outputs=outputs)
-                    break
-                else:
-                    raise BssError(f"unknown instruction {instr!r}")
-            except _SymBlankRead:
-                leaf(st, "fault", fault_kind="blank_read")
-                break
-            except OracleUnsupported:
-                leaf(st, "fault", fault_kind="oracle_unsupported")
-                break
+        if status == FORK:
+            status = BUDGET_EXHAUSTED
+        leaf = PathLeaf(history, condition, status,
+                        payload if status == HALTED else None,
+                        payload if status == FAULT else None,
+                        any(s == 0 for _, s in condition.constraints), forks)
+        nodes[history] = ("leaf", leaf)
+        leaves.append(leaf)
 
     return PathTree(program, arity, depth_budget, nodes, tuple(leaves))
 

@@ -2,7 +2,8 @@
 
 shadow_trace runs a program on a concrete input while carrying, for every
 written cell, the canonical rational function of the input indeterminates
-that produced it.  Branch directions and oracle answers come from the
+that produced it: it runs the execution core (machine/core.py) over cells
+that hold both.  Branch directions and oracle answers come from the
 concrete values, so the symbolic side never decides anything; it only
 records what function of the input each cell holds.  The payoff is the
 agreement property: evaluating any recorded function at the input
@@ -18,13 +19,11 @@ from fractions import Fraction
 from ..errors import BssError, PoleError
 from ..exact import (AlgebraicNumber, RationalFunction, algebraic_equal,
                      degree_over_q, rf_eval, sign_at)
-from ..machine.interp import (BLANK_READ, BUDGET_EXHAUSTED, DEFAULT_BUDGET,
-                              DIVISION_BY_ZERO, FAULT, HALTED,
-                              ORACLE_UNSUPPORTED, Value, _Fault,
+from ..machine.core import FAULT, HALTED, compile_program, execute
+from ..machine.interp import (DEFAULT_BUDGET, ConcreteDomain, Value,
                               initial_cells, normalize_input)
-from ..machine.oracle import Oracle, OracleUnsupported, oracle_query
-from ..machine.program import (Arith, Branch, Const, Copy, Jmp, OracleCall,
-                               Output, Program, Shift)
+from ..machine.oracle import Oracle
+from ..machine.program import Program
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,8 @@ class SymbolicTrace:
     output_values: tuple[Value, ...] | None
     final_cells: dict[int, RationalFunction] = field(repr=False, default_factory=dict)
     final_values: dict[int, Value] = field(repr=False, default_factory=dict)
+    # the symbolic cells before the first step (inputs and zeros)
+    _base_cells: dict[int, RationalFunction] = field(repr=False, default_factory=dict)
 
     @property
     def steps_executed(self) -> int:
@@ -80,15 +81,62 @@ class SymbolicTrace:
             out.update(s.cells)
         return out
 
-    # set by shadow_trace: the pre-execution symbolic cells (inputs + zeros)
-    _base_cells: dict[int, RationalFunction] = field(
-        repr=False, default_factory=dict)
-
     def branch_history(self) -> tuple[int, ...]:
         return tuple(e.sign for e in self.branch_log)
 
     def oracle_history(self) -> tuple[bool, ...]:
         return tuple(e.answer for e in self.oracle_log)
+
+
+def input_functions(program: Program, nvars: int) -> dict[int, RationalFunction]:
+    """The symbolic cells before the first step: input i is the variable
+    Y(i+1), and the ZERO window holds the constant 0."""
+    variables = [RationalFunction.var(i, nvars) for i in range(nvars)]
+    return initial_cells(program, variables, zero=RationalFunction.constant(Fraction(0), nvars))
+
+
+class _Shadowed:
+    """A shadow cell: a concrete value and the function that produced it."""
+
+    __slots__ = ("value", "function")
+
+    def __init__(self, value: Value, function: RationalFunction):
+        self.value = value
+        self.function = function
+
+    def __add__(self, other: "_Shadowed") -> "_Shadowed":
+        return _Shadowed(self.value + other.value, self.function + other.function)
+
+    def __sub__(self, other: "_Shadowed") -> "_Shadowed":
+        return _Shadowed(self.value - other.value, self.function - other.function)
+
+    def __mul__(self, other: "_Shadowed") -> "_Shadowed":
+        return _Shadowed(self.value * other.value, self.function * other.function)
+
+
+class _ShadowDomain(ConcreteDomain):
+    """The concrete domain, deciding on the concrete halves of the cells."""
+
+    def __init__(self, oracle: Oracle, nvars: int, use_generic: bool):
+        super().__init__(oracle)
+        self.nvars = nvars
+        self.use_generic = use_generic
+
+    def const(self, q: Fraction) -> _Shadowed:
+        return _Shadowed(q, RationalFunction.constant(q, self.nvars))
+
+    def div(self, a: _Shadowed, b: _Shadowed) -> _Shadowed | None:
+        value = super().div(a.value, b.value)
+        return None if value is None else _Shadowed(value, a.function / b.function)
+
+    @staticmethod
+    def sign(a: _Shadowed) -> int:
+        return sign_at(a.value)
+
+    def ask(self, query: tuple[_Shadowed, ...]) -> bool:
+        if self.use_generic and not all(c.function.is_constant() for c in query):
+            return self.oracle.generic_policy
+        return super().ask(tuple(c.value for c in query))
 
 
 def shadow_trace(program: Program, input_values, oracle: Oracle | None = None,
@@ -101,124 +149,37 @@ def shadow_trace(program: Program, input_values, oracle: Oracle | None = None,
         raise BssError("budget must be positive")
     oracle = oracle if oracle is not None else Oracle.empty()
     values = normalize_input(program, input_values)
-    nvars = len(values)
-    cells = initial_cells(program, values)
-    syms: dict[int, RationalFunction] = {
-        c: RationalFunction.constant(Fraction(0), nvars) for c in cells
-    }
-    for i in range(nvars):
-        syms[i] = RationalFunction.var(i, nvars)
-    base_syms = dict(syms)
-
-    labels = program.label_index()
-    instructions = program.instructions
-
-    offset = 0
-    pc = 0
+    base = input_functions(program, len(values))
+    cells = {c: _Shadowed(v, base[c]) for c, v in initial_cells(program, values).items()}
     steps: list[SymStep] = []
     branch_log: list[BranchEvent] = []
     oracle_log: list[OracleEvent] = []
-    outcome: str | None = None
-    fault_kind: str | None = None
-    out_fns: tuple[RationalFunction, ...] | None = None
-    out_vals: tuple[Value, ...] | None = None
 
-    def read(absolute: int) -> tuple[Value, RationalFunction]:
-        try:
-            return cells[absolute], syms[absolute]
-        except KeyError:
-            raise _Fault(BLANK_READ) from None
+    def record(index, pc, writes, branch, oracle_event):
+        if branch is not None:
+            branch_log.append(BranchEvent(branch[0].function, branch[1], index))
+        if oracle_event is not None:
+            query, answer = oracle_event
+            fns = tuple(c.function for c in query)
+            oracle_log.append(OracleEvent(fns, answer, all(f.is_constant() for f in fns), index))
+        steps.append(SymStep(index, pc, program.instructions[pc][0],
+                             {cell: c.function for cell, c in writes},
+                             {cell: c.value for cell, c in writes}))
 
-    while outcome is None:
-        if len(steps) >= budget:
-            outcome = BUDGET_EXHAUSTED
-            break
-        label, instr = instructions[pc]
-        index = len(steps)
-        wrote_f: dict[int, RationalFunction] = {}
-        wrote_v: dict[int, Value] = {}
-        next_pc = pc + 1
-        try:
-            if isinstance(instr, Const):
-                v = instr.value if instr.param is None else program.param_value(instr.param)
-                f = RationalFunction.constant(v, nvars)
-                cells[offset + instr.dst] = v
-                syms[offset + instr.dst] = f
-                wrote_v[offset + instr.dst] = v
-                wrote_f[offset + instr.dst] = f
-            elif isinstance(instr, Copy):
-                v, f = read(offset + instr.src)
-                cells[offset + instr.dst] = v
-                syms[offset + instr.dst] = f
-                wrote_v[offset + instr.dst] = v
-                wrote_f[offset + instr.dst] = f
-            elif isinstance(instr, Arith):
-                va, fa = read(offset + instr.src1)
-                vb, fb = read(offset + instr.src2)
-                if instr.op == "ADD":
-                    v, f = va + vb, fa + fb
-                elif instr.op == "SUB":
-                    v, f = va - vb, fa - fb
-                elif instr.op == "MUL":
-                    v, f = va * vb, fa * fb
-                else:
-                    if sign_at(vb) == 0:
-                        raise _Fault(DIVISION_BY_ZERO)
-                    try:
-                        v = va / vb
-                    except (PoleError, ZeroDivisionError):
-                        raise _Fault(DIVISION_BY_ZERO) from None
-                    f = fa / fb
-                cells[offset + instr.dst] = v
-                syms[offset + instr.dst] = f
-                wrote_v[offset + instr.dst] = v
-                wrote_f[offset + instr.dst] = f
-            elif isinstance(instr, Branch):
-                v, f = read(offset + instr.src)
-                s = sign_at(v)
-                branch_log.append(BranchEvent(f, s, index))
-                next_pc = labels[{-1: instr.neg, 0: instr.zero, 1: instr.pos}[s]]
-            elif isinstance(instr, Jmp):
-                next_pc = labels[instr.target]
-            elif isinstance(instr, Shift):
-                offset += 1 if instr.direction == "right" else -1
-            elif isinstance(instr, OracleCall):
-                pairs = [read(offset + i) for i in range(instr.lo, instr.hi + 1)]
-                query = tuple(p[0] for p in pairs)
-                fns = tuple(p[1] for p in pairs)
-                was_constant = all(f.is_constant() for f in fns)
-                if use_generic and not was_constant:
-                    answer = oracle.generic_policy
-                else:
-                    try:
-                        answer = oracle_query(oracle, query)
-                    except OracleUnsupported:
-                        raise _Fault(ORACLE_UNSUPPORTED) from None
-                oracle_log.append(OracleEvent(fns, answer, was_constant, index))
-                next_pc = labels[instr.yes if answer else instr.no]
-            elif isinstance(instr, Output):
-                top = offset + instr.hi
-                pairs = [read(i) for i in range(instr.lo, top + 1)]
-                out_vals = tuple(p[0] for p in pairs)
-                out_fns = tuple(p[1] for p in pairs)
-                outcome = HALTED
-            else:
-                raise BssError(f"unknown instruction {instr!r}")
-        except _Fault as fault:
-            outcome = FAULT
-            fault_kind = fault.kind
-        steps.append(SymStep(index, pc, label, wrote_f, wrote_v))
-        pc = next_pc
-
-    trace = SymbolicTrace(
+    status, _, _, _, payload = execute(
+        compile_program(program), cells, _ShadowDomain(oracle, len(values), use_generic),
+        budget, record=record)
+    output = payload if status == HALTED else None
+    return SymbolicTrace(
         program=program, input=values, oracle=oracle, steps=tuple(steps),
         branch_log=tuple(branch_log), oracle_log=tuple(oracle_log),
-        outcome=outcome, fault_kind=fault_kind,
-        output_functions=out_fns, output_values=out_vals,
-        final_cells=dict(syms), final_values=dict(cells),
+        outcome=status, fault_kind=payload if status == FAULT else None,
+        output_functions=None if output is None else tuple(c.function for c in output),
+        output_values=None if output is None else tuple(c.value for c in output),
+        final_cells={cell: c.function for cell, c in cells.items()},
+        final_values={cell: c.value for cell, c in cells.items()},
+        _base_cells=base,
     )
-    trace._base_cells = base_syms
-    return trace
 
 
 @dataclass(frozen=True)

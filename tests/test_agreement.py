@@ -1,0 +1,167 @@
+"""Concrete runs, shadow traces and path trees agree on every way a run ends.
+
+The table below covers every opcode, and its runs end in each outcome: a
+halt after SHIFT with an OUTPUT whose range spans two frames, each fault
+kind, and budget exhaustion.  Each run is made three ways, by run_concrete,
+shadow_trace and explore_paths, and the three must tell the same story.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from bssvm.exact import algebraic_equal, nth_root_field, rf_eval
+from bssvm.machine import Oracle, initial_cells, parse_program, run_concrete
+from bssvm.symbolic import explore_paths, shadow_trace
+
+# CONST (literal and $param), COPY, ADD/SUB/MUL/DIV, BRANCH, JMP, ORACLE,
+# SHIFTR; a DIV by the branch-pinned zero; OUTPUT c1..c1 after one SHIFTR
+# emits the absolute cells 1..2
+MIXED = """\
+PROGRAM mixed
+ARITY 1
+PARAM k = 3/2
+ZERO 1..1
+start: CONST c2 $k
+cp:    COPY c3 c0
+mul:   MUL c4 c3 c2
+sub:   SUB c4 c4 c0
+add:   ADD c4 c4 c2
+ask:   ORACLE c0..c0 br other
+other: CONST c1 7
+j0:    JMP emit
+br:    BRANCH c4 neg zero pos
+neg:   CONST c1 -1
+j1:    JMP emit
+zero:  DIV c1 c2 c4
+j2:    JMP emit
+pos:   DIV c1 c0 c4
+emit:  SHIFTR
+sum:   ADD c1 c0 c2
+out:   OUTPUT c1..c1
+"""
+
+# SHIFTL/SHIFTR; blank reads in ADD and in OUTPUT
+BLANK = """\
+PROGRAM blank
+ARITY 2
+start: SHIFTL
+cp:    COPY c0 c2
+back:  SHIFTR
+br:    BRANCH c0 bad wide ok
+bad:   ADD c2 c0 c3
+wide:  OUTPUT c0..c2
+ok:    SHIFTL
+out:   OUTPUT c0..c1
+"""
+
+# a divisor that is zero as a function, not only at the input
+DIV_ZERO = """\
+PROGRAM divzero
+ARITY 1
+start: SUB c1 c0 c0
+div:   DIV c2 c0 c1
+out:   OUTPUT c2..c2
+"""
+
+# a constant two-coordinate query the cantor oracle cannot decide
+UNSUPPORTED = """\
+PROGRAM unsupported
+ARITY 1
+start: CONST c1 1/3
+one:   CONST c2 1
+ask:   ORACLE c1..c2 yes no
+yes:   OUTPUT c0..c0
+no:    OUTPUT c1..c1
+"""
+
+# a counter loop whose branches are all constant: no fork, no halt
+LOOP = """\
+PROGRAM loop
+ARITY 1
+ZERO 1..1
+start: CONST c2 1
+loop:  ADD c1 c1 c2
+mul:   MUL c3 c1 c0
+br:    BRANCH c2 loop loop loop
+"""
+
+BUDGET = 40
+
+
+def _sqrt2():
+    return nth_root_field(2, 2)[1]
+
+
+# (program text, oracle, input, status, fault kind)
+CASES = [
+    (MIXED, Oracle.rationals(), (F(5),), "halted", None),
+    (MIXED, Oracle.rationals(), (F(-7),), "halted", None),
+    (MIXED, Oracle.rationals(), (F(-3),), "fault", "division_by_zero"),
+    (MIXED, Oracle.rationals(), ("sqrt2",), "halted", None),
+    (BLANK, Oracle.empty(), (F(-1), F(2)), "fault", "blank_read"),
+    (BLANK, Oracle.empty(), (F(0), F(2)), "fault", "blank_read"),
+    (BLANK, Oracle.empty(), (F(4), F(2)), "halted", None),
+    (DIV_ZERO, Oracle.empty(), (F(2),), "fault", "division_by_zero"),
+    (UNSUPPORTED, Oracle.cantor(), (F(2),), "fault", "oracle_unsupported"),
+    (LOOP, Oracle.empty(), (F(3),), "budget_exhausted", None),
+]
+
+
+def _case(text, values):
+    values = tuple(_sqrt2() if v == "sqrt2" else v for v in values)
+    return parse_program(text), values
+
+
+@pytest.mark.parametrize("text,oracle,values,status,fault_kind", CASES)
+def test_concrete_shadow_and_tree_agree(text, oracle, values, status, fault_kind):
+    program, values = _case(text, values)
+    result, ctrace = run_concrete(program, values, oracle=oracle, budget=BUDGET)
+    strace = shadow_trace(program, values, oracle=oracle, budget=BUDGET)
+
+    assert (result.status, result.fault_kind) == (status, fault_kind)
+    assert (strace.outcome, strace.fault_kind) == (status, fault_kind)
+    assert strace.output_values == result.output
+    assert strace.steps_executed == result.steps == len(ctrace.steps)
+    for cs, ss in zip(ctrace.steps, strace.steps):
+        assert ss.values == dict(cs.writes)
+        assert set(ss.cells) == set(ss.values)
+    assert strace.branch_history() == tuple(
+        s.branch_sign for s in ctrace.steps if s.branch_sign is not None)
+
+    tree = explore_paths(program, oracle_policy="split", oracle=oracle,
+                         step_cap=BUDGET)
+    holding = [leaf for leaf in tree.leaves
+               if leaf.condition.satisfied_by(values, oracle)]
+    assert len(holding) == 1
+    leaf = holding[0]
+    assert (leaf.outcome, leaf.fault_kind) == (status, fault_kind)
+    if status == "halted":
+        assert len(leaf.outputs) == len(result.output)
+        for f, v in zip(leaf.outputs, result.output):
+            assert algebraic_equal(rf_eval(f, values), v)
+    else:
+        assert leaf.outputs is None
+
+
+def test_tree_leaf_at_step_cap():
+    program = parse_program(LOOP)
+    tree = explore_paths(program, step_cap=BUDGET)
+    assert [(leaf.history, leaf.outcome, leaf.forks_used) for leaf in tree.leaves] \
+        == [((), "budget_exhausted", 0)]
+    assert tree.nodes == {(): ("leaf", tree.leaves[0])}
+
+
+@pytest.mark.parametrize("text,oracle,values,status,fault_kind", CASES)
+def test_shadow_cells_at_replays_the_concrete_run(text, oracle, values, status,
+                                                  fault_kind):
+    program, values = _case(text, values)
+    _, ctrace = run_concrete(program, values, oracle=oracle, budget=BUDGET)
+    strace = shadow_trace(program, values, oracle=oracle, budget=BUDGET)
+    cells = initial_cells(program, values)
+    for i, step in enumerate(ctrace.steps):
+        cells.update(step.writes)
+        functions = strace.cells_at(i)
+        assert set(functions) == set(cells)
+        for cell, f in functions.items():
+            assert algebraic_equal(rf_eval(f, values), cells[cell]), (i, cell)

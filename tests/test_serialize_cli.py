@@ -287,6 +287,17 @@ def test_usage_error_exit_codes(capsys):
     assert run_cli(capsys, "run", "--stdlib", "sgn", "--input", "(1",)[0] == 2
     assert run_cli(capsys, "run", "--stdlib", "sgn", "--input", "(1)",
                    "--oracle", "wat")[0] == 2
+    assert run_cli(capsys, "run", "--stdlib", "sgn", "--input", "(1)",
+                   "--budget", "0")[0] == 2
+    assert run_cli(capsys, "run", "--stdlib", "sgn", "--input", "(1)",
+                   "--budget", "many")[0] == 2
+    assert run_cli(capsys, "certify", "--stdlib", "sgn", "--input", "(5)",
+                   "--samples", "-3")[0] == 2
+    assert run_cli(capsys, "paths", "--stdlib", "sgn", "--depth", "-1")[0] == 2
+    assert run_cli(capsys, "run", "--stdlib", "sgn", "--input", "(1,2)")[0] == 2
+    assert run_cli(capsys, "witness", "--stdlib", "oracle_member",
+                   "--input", "(5)")[0] == 2
+    assert run_cli(capsys, "paths", "--stdlib", "sgn", "--depth", "0")[0] == 0
 
 
 def test_usage_errors_go_to_stderr(capsys):
