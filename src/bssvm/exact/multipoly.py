@@ -7,6 +7,15 @@ canonical: numerator and denominator coprime, denominator with leading
 coefficient 1, and the zero function stored as 0/1, so structural equality
 decides semantic equality.
 
+MultiPoly(...) and RationalFunction(...) validate and canonicalise their
+arguments.  Arithmetic whose result is already clean skips that work:
+MultiPoly._of(nvars, terms) takes a dict whose exponent tuples all have
+length nvars and whose coefficients are nonzero Fractions or
+AlgebraicNumbers, and keeps it without a copy, so the dict must be fresh
+and never mutated afterwards.  RationalFunction._of(num, den) takes a pair
+that is already canonical; the polynomial, constant and negation fast
+paths build their results with it and call no gcd.
+
 The gcd is a primitive pseudo-remainder sequence in the highest occurring
 variable, recursing on contents; with a single variable it degenerates to
 the monic Euclidean algorithm over the coefficient field.
@@ -14,6 +23,7 @@ the monic Euclidean algorithm over the coefficient field.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ..errors import BssError, PoleError
@@ -44,6 +54,14 @@ class MultiPoly:
             clean[e] = c
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> MultiPoly:
+        """Trusted constructor: terms are clean and owned by the result."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def constant(cls, c, nvars: int) -> MultiPoly:
@@ -110,22 +128,25 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise BssError("variable count mismatch")
 
-    def __add__(self, other: MultiPoly) -> MultiPoly:
+    def _merge(self, other: MultiPoly, op) -> MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, 0) + c
+            v = op(out.get(e, 0), c)
             if v == 0:
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = v
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._of(self.nvars, out)
+
+    def __add__(self, other: MultiPoly) -> MultiPoly:
+        return self._merge(other, operator.add)
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + (-other)
+        return self._merge(other, operator.sub)
 
     def __mul__(self, other: MultiPoly) -> MultiPoly:
         self._check(other)
@@ -133,19 +154,26 @@ class MultiPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
+                # a product of nonzero coefficients can vanish in a field
+                # whose polynomial is reducible
                 v = out.get(e, 0) + ca * cb
                 if v == 0:
                     out.pop(e, None)
                 else:
                     out[e] = v
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._of(self.nvars, out)
 
     def scale(self, c) -> MultiPoly:
         if not isinstance(c, AlgebraicNumber):
             c = Fraction(c)
         if c == 0:
-            return MultiPoly(self.nvars)
-        return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return MultiPoly._of(self.nvars, {})
+        out = {}
+        for e, v in self.terms.items():
+            v = v * c
+            if v != 0:
+                out[e] = v
+        return MultiPoly._of(self.nvars, out)
 
     def __pow__(self, n: int) -> MultiPoly:
         if n < 0:
@@ -199,6 +227,10 @@ class MultiPoly:
         return f"MultiPoly({str(self)!r})"
 
 
+def _one(nvars: int) -> MultiPoly:
+    return MultiPoly._of(nvars, {(0,) * nvars: Fraction(1)})
+
+
 # -- gcd machinery -------------------------------------------------------
 
 def _monic(p: MultiPoly) -> MultiPoly:
@@ -233,7 +265,7 @@ def _exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
                 rem.pop(tgt, None)
             else:
                 rem[tgt] = v
-    return MultiPoly(a.nvars, out)
+    return MultiPoly._of(a.nvars, out)
 
 
 def _split(p: MultiPoly, v: int) -> list[MultiPoly]:
@@ -245,7 +277,7 @@ def _split(p: MultiPoly, v: int) -> list[MultiPoly]:
         k = rest[v]
         rest[v] = 0
         out[k][tuple(rest)] = c
-    return [MultiPoly(p.nvars, t) for t in out]
+    return [MultiPoly._of(p.nvars, t) for t in out]
 
 
 def _join(coeffs: list[MultiPoly], v: int, nvars: int) -> MultiPoly:
@@ -255,11 +287,11 @@ def _join(coeffs: list[MultiPoly], v: int, nvars: int) -> MultiPoly:
             t = list(e)
             t[v] += k
             out[tuple(t)] = c
-    return MultiPoly(nvars, out)
+    return MultiPoly._of(nvars, out)
 
 
 def _content(p: MultiPoly, v: int) -> MultiPoly:
-    g = MultiPoly(p.nvars)
+    g = MultiPoly._of(p.nvars, {})
     for q in _split(p, v):
         g = mp_gcd(g, q)
     return g
@@ -277,7 +309,7 @@ def _shift(p: MultiPoly, v: int, k: int) -> MultiPoly:
         t = list(e)
         t[v] += k
         out[tuple(t)] = c
-    return MultiPoly(p.nvars, out)
+    return MultiPoly._of(p.nvars, out)
 
 
 def _pseudo_rem(a: MultiPoly, b: MultiPoly, v: int) -> MultiPoly:
@@ -298,7 +330,7 @@ def mp_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if b.is_zero():
         return _monic(a)
     if a.is_constant() or b.is_constant():
-        return MultiPoly.constant(1, a.nvars)
+        return _one(a.nvars)
     vs = a.variables() | b.variables()
     v = max(vs)
     ca, cb = _content(a, v), _content(b, v)
@@ -308,7 +340,7 @@ def mp_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     while not pb.is_zero() and pb.degree_in(v) > 0:
         r = _pseudo_rem(pa, pb, v)
         pa, pb = pb, _primitive(r, v)
-    pp = MultiPoly.constant(1, a.nvars) if not pb.is_zero() else pa
+    pp = _one(a.nvars) if not pb.is_zero() else pa
     return _monic(mp_gcd(ca, cb) * pp)
 
 
@@ -340,6 +372,14 @@ def interval_eval(p: MultiPoly, boxes, coeff_width: Fraction = DEFAULT_COEFF_WID
 
 # -- rational functions -------------------------------------------------
 
+def _is_one(p: MultiPoly) -> bool:
+    """Is p the constant whose coefficient is the Fraction 1?"""
+    if len(p.terms) != 1:
+        return False
+    (e, c), = p.terms.items()
+    return type(c) is Fraction and c == 1 and not any(e)
+
+
 class RationalFunction:
     """Quotient of MultiPolys in canonical form."""
 
@@ -347,13 +387,13 @@ class RationalFunction:
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
-            den = MultiPoly.constant(1, num.nvars)
+            den = _one(num.nvars)
         if num.nvars != den.nvars:
             raise BssError("variable count mismatch")
         if den.is_zero():
             raise PoleError("zero denominator")
         if num.is_zero():
-            den = MultiPoly.constant(1, num.nvars)
+            den = _one(num.nvars)
         else:
             g = mp_gcd(num, den)
             if not (g.is_constant() and g.constant_value() == 1):
@@ -368,7 +408,17 @@ class RationalFunction:
         self.den = den
 
     @classmethod
+    def _of(cls, num: MultiPoly, den: MultiPoly) -> RationalFunction:
+        """Trusted constructor: num/den is already canonical."""
+        rf = object.__new__(cls)
+        rf.num = num
+        rf.den = den
+        return rf
+
+    @classmethod
     def constant(cls, c, nvars: int) -> RationalFunction:
+        if type(c) is Fraction:
+            return cls._of(MultiPoly._of(nvars, {(0,) * nvars: c} if c else {}), _one(nvars))
         return cls(MultiPoly.constant(c, nvars))
 
     @classmethod
@@ -393,18 +443,27 @@ class RationalFunction:
             raise BssError("rational function is not constant")
         return self.num.constant_value()
 
+    # Over two denominators that are the Fraction 1, a sum, difference or
+    # product is already canonical: no gcd, no rescaling.
+
     def __add__(self, other: RationalFunction) -> RationalFunction:
+        if _is_one(self.den) and _is_one(other.den):
+            return RationalFunction._of(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._of(-self.num, self.den)
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
+        if _is_one(self.den) and _is_one(other.den):
+            return RationalFunction._of(self.num - other.num, self.den)
         return RationalFunction(self.num * other.den - other.num * self.den,
                                 self.den * other.den)
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
+        if _is_one(self.den) and _is_one(other.den):
+            return RationalFunction._of(self.num * other.num, self.den)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: RationalFunction) -> RationalFunction:

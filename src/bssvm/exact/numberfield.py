@@ -289,6 +289,9 @@ def _pad(p: UniPoly, n: int) -> tuple[Fraction, ...]:
 
 def sign_at(value) -> int:
     """Three-way sign of an exact value (Fraction, int, or AlgebraicNumber)."""
+    if type(value) is Fraction:
+        n = value.numerator
+        return (n > 0) - (n < 0)
     if isinstance(value, AlgebraicNumber):
         return value.sign()
     v = Fraction(value)
@@ -296,6 +299,8 @@ def sign_at(value) -> int:
 
 
 def algebraic_equal(a, b) -> bool:
+    if type(a) is Fraction and type(b) is Fraction:
+        return a == b
     if isinstance(a, AlgebraicNumber) or isinstance(b, AlgebraicNumber):
         if not isinstance(a, AlgebraicNumber):
             a, b = b, a

@@ -4,7 +4,8 @@ A program is a named, labeled instruction sequence over an unbounded tape of
 exact real cells.  Cell operands in instructions are nonnegative literals,
 resolved against the current window offset at run time (OUTPUT anchors its
 low end to the initial frame; see interp).  Every instruction carries a
-label; control starts at the first instruction.
+label; control starts at the first instruction.  The last instruction
+cannot fall through: it is OUTPUT, JMP, BRANCH or ORACLE.
 """
 
 from __future__ import annotations
@@ -126,6 +127,12 @@ class Program:
             labels.add(label)
         for label, instr in self.instructions:
             self._check_instruction(label, instr, labels, seen_params)
+        last_label, last = self.instructions[-1]
+        if not isinstance(last, (Output, Jmp, Branch, OracleCall)):
+            raise ProgramError(
+                f"instruction {last_label!r}: the last instruction must be OUTPUT, JMP, "
+                f"BRANCH or ORACLE, not {format_instruction(last).split()[0]}, "
+                f"which falls through past the end")
 
     def _check_instruction(self, label, instr, labels, param_names) -> None:
         where = f"instruction {label!r}"

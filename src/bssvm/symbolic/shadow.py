@@ -13,6 +13,7 @@ field_boundary_check verifies after the fact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,46 +96,71 @@ def input_functions(program: Program, nvars: int) -> dict[int, RationalFunction]
     return initial_cells(program, variables, zero=RationalFunction.constant(Fraction(0), nvars))
 
 
+def _lockstep(op):
+    """op on both halves of two shadow cells.  Two bare constants stay
+    bare; a bare constant meeting a function is lifted to its variables."""
+
+    def apply(a: "_Shadowed", b: "_Shadowed", value=None) -> "_Shadowed":
+        if value is None:
+            value = op(a.value, b.value)
+        f, g = a.function, b.function
+        if f is None:
+            if g is None:
+                return _Shadowed(value, None)
+            f = a.lifted(g.nvars)
+        elif g is None:
+            g = b.lifted(f.nvars)
+        return _Shadowed(value, op(f, g))
+
+    return apply
+
+
 class _Shadowed:
-    """A shadow cell: a concrete value and the function that produced it."""
+    """A shadow cell: a concrete value and the function that produced it.
+    A cell whose function is the constant value itself carries function
+    None and is lifted to a RationalFunction only where one is needed."""
 
     __slots__ = ("value", "function")
 
-    def __init__(self, value: Value, function: RationalFunction):
+    def __init__(self, value: Value, function: RationalFunction | None):
         self.value = value
         self.function = function
 
-    def __add__(self, other: "_Shadowed") -> "_Shadowed":
-        return _Shadowed(self.value + other.value, self.function + other.function)
+    def lifted(self, nvars: int) -> RationalFunction:
+        """The cell's function, a bare constant lifted to nvars variables."""
+        f = self.function
+        return RationalFunction.constant(self.value, nvars) if f is None else f
 
-    def __sub__(self, other: "_Shadowed") -> "_Shadowed":
-        return _Shadowed(self.value - other.value, self.function - other.function)
+    __add__ = _lockstep(operator.add)
+    __sub__ = _lockstep(operator.sub)
+    __mul__ = _lockstep(operator.mul)
 
-    def __mul__(self, other: "_Shadowed") -> "_Shadowed":
-        return _Shadowed(self.value * other.value, self.function * other.function)
+
+_divide = _lockstep(operator.truediv)
 
 
 class _ShadowDomain(ConcreteDomain):
     """The concrete domain, deciding on the concrete halves of the cells."""
 
-    def __init__(self, oracle: Oracle, nvars: int, use_generic: bool):
+    def __init__(self, oracle: Oracle, use_generic: bool):
         super().__init__(oracle)
-        self.nvars = nvars
         self.use_generic = use_generic
 
-    def const(self, q: Fraction) -> _Shadowed:
-        return _Shadowed(q, RationalFunction.constant(q, self.nvars))
+    @staticmethod
+    def const(q: Fraction) -> _Shadowed:
+        return _Shadowed(q, None)
 
     def div(self, a: _Shadowed, b: _Shadowed) -> _Shadowed | None:
         value = super().div(a.value, b.value)
-        return None if value is None else _Shadowed(value, a.function / b.function)
+        return None if value is None else _divide(a, b, value)
 
     @staticmethod
     def sign(a: _Shadowed) -> int:
         return sign_at(a.value)
 
     def ask(self, query: tuple[_Shadowed, ...]) -> bool:
-        if self.use_generic and not all(c.function.is_constant() for c in query):
+        if self.use_generic and not all(c.function is None or c.function.is_constant()
+                                        for c in query):
             return self.oracle.generic_policy
         return super().ask(tuple(c.value for c in query))
 
@@ -149,34 +175,54 @@ def shadow_trace(program: Program, input_values, oracle: Oracle | None = None,
         raise BssError("budget must be positive")
     oracle = oracle if oracle is not None else Oracle.empty()
     values = normalize_input(program, input_values)
-    base = input_functions(program, len(values))
-    cells = {c: _Shadowed(v, base[c]) for c, v in initial_cells(program, values).items()}
+    nvars = len(values)
+    base = input_functions(program, nvars)
+    cells = {c: _Shadowed(v, None if base[c].is_constant() else base[c])
+             for c, v in initial_cells(program, values).items()}
+
+    lifted: dict[tuple[int, int], RationalFunction] = {}
+
+    def function(c: _Shadowed) -> RationalFunction:
+        """The cell's function; a bare constant is lifted once per run and
+        shared.  Recorded writes repeat few constants: on the benchmark's
+        corpus workload 96% of these lifts find the constant already
+        lifted, and sharing them cuts the traces' memory (BENCH_5.json)."""
+        if c.function is not None:
+            return c.function
+        q = c.value
+        # a pair of ints hashes without the modular inverse a Fraction takes
+        key = (q.numerator, q.denominator)
+        f = lifted.get(key)
+        if f is None:
+            f = lifted[key] = c.lifted(nvars)
+        return f
+
     steps: list[SymStep] = []
     branch_log: list[BranchEvent] = []
     oracle_log: list[OracleEvent] = []
 
     def record(index, pc, writes, branch, oracle_event):
         if branch is not None:
-            branch_log.append(BranchEvent(branch[0].function, branch[1], index))
+            branch_log.append(BranchEvent(function(branch[0]), branch[1], index))
         if oracle_event is not None:
             query, answer = oracle_event
-            fns = tuple(c.function for c in query)
+            fns = tuple(map(function, query))
             oracle_log.append(OracleEvent(fns, answer, all(f.is_constant() for f in fns), index))
         steps.append(SymStep(index, pc, program.instructions[pc][0],
-                             {cell: c.function for cell, c in writes},
+                             {cell: function(c) for cell, c in writes},
                              {cell: c.value for cell, c in writes}))
 
     status, _, _, _, payload = execute(
-        compile_program(program), cells, _ShadowDomain(oracle, len(values), use_generic),
+        compile_program(program), cells, _ShadowDomain(oracle, use_generic),
         budget, record=record)
     output = payload if status == HALTED else None
     return SymbolicTrace(
         program=program, input=values, oracle=oracle, steps=tuple(steps),
         branch_log=tuple(branch_log), oracle_log=tuple(oracle_log),
         outcome=status, fault_kind=payload if status == FAULT else None,
-        output_functions=None if output is None else tuple(c.function for c in output),
+        output_functions=None if output is None else tuple(map(function, output)),
         output_values=None if output is None else tuple(c.value for c in output),
-        final_cells={cell: c.function for cell, c in cells.items()},
+        final_cells={cell: function(c) for cell, c in cells.items()},
         final_values={cell: c.value for cell, c in cells.items()},
         _base_cells=base,
     )

@@ -506,3 +506,133 @@ def test_mp_gcd_shared_factor():
     # gcd is exact up to a constant; normalize by checking divisibility both ways
     assert not g.is_constant()
     assert g.degree_in(0) == 1 and g.degree_in(1) == 1
+
+
+# -- fast paths of MultiPoly and RationalFunction against the constructor -----
+
+def _raw_mul(p, q):
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return MultiPoly(p.nvars, out)
+
+
+def _raw_add(p, q, sign=1):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return MultiPoly(p.nvars, out)
+
+
+def _reference(op, a, b):
+    """The result of op rebuilt through the canonicalising constructor
+    from products taken term by term."""
+    if op == "neg":
+        return RationalFunction(MultiPoly(a.nvars, {e: -c for e, c in a.num.terms.items()}),
+                                a.den)
+    if op in ("add", "sub"):
+        return RationalFunction(_raw_add(_raw_mul(a.num, b.den), _raw_mul(b.num, a.den),
+                                         1 if op == "add" else -1),
+                                _raw_mul(a.den, b.den))
+    if op == "mul":
+        return RationalFunction(_raw_mul(a.num, b.num), _raw_mul(a.den, b.den))
+    return RationalFunction(_raw_mul(a.num, b.den), _raw_mul(a.den, b.num))
+
+
+def _assert_clean(*polys):
+    for p in polys:
+        for e, c in p.terms.items():
+            assert len(e) == p.nvars and all(type(x) is int and x >= 0 for x in e)
+            assert isinstance(c, (F, AlgebraicNumber)) and c != 0
+
+
+def _random_poly(rng, nvars, alpha=None):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        c = F(rng.randint(-4, 4), rng.randint(1, 3))
+        if alpha is not None and rng.random() < 0.6:
+            c = alpha * rng.randint(-2, 2) + c
+        terms[e] = c
+    return MultiPoly(nvars, terms)
+
+
+def _random_operand(rng, kind, nvars, alpha):
+    if kind == "zero":
+        return RationalFunction.constant(F(0), nvars)
+    if kind == "constant":
+        return RationalFunction.constant(F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)), nvars)
+    if kind == "algebraic constant":
+        return RationalFunction.constant(alpha * rng.choice([-1, 2]) + 1, nvars)
+    coeffs = alpha if kind.startswith("algebraic") else None
+    num = _random_poly(rng, nvars, coeffs)
+    if kind.endswith("polynomial"):
+        return RationalFunction(num)
+    den = MultiPoly.constant(0, nvars)
+    while den.is_constant():
+        den = _random_poly(rng, nvars, coeffs)
+    return RationalFunction(num, den)
+
+
+OPERAND_KINDS = ["zero", "constant", "polynomial", "rational", "algebraic constant",
+                 "algebraic polynomial", "algebraic rational"]
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_rational_function_fast_paths_match_the_constructor(nvars, sqrt2_field):
+    _, alpha = sqrt2_field
+    rng = random.Random(5000 + nvars)
+    ops = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+           "mul": lambda a, b: a * b, "neg": lambda a, b: -a, "div": lambda a, b: a / b}
+    checked = 0
+    for kind_a in OPERAND_KINDS:
+        for kind_b in OPERAND_KINDS:
+            for _ in range(2):
+                a = _random_operand(rng, kind_a, nvars, alpha)
+                b = _random_operand(rng, kind_b, nvars, alpha)
+                for name, op in ops.items():
+                    if name == "div" and b.is_zero():
+                        with pytest.raises(PoleError):
+                            a / b
+                        continue
+                    got, want = op(a, b), _reference(name, a, b)
+                    assert got == want, (name, str(a), str(b))
+                    assert hash(got) == hash(want) and str(got) == str(want)
+                    _assert_clean(got.num, got.den)
+                    checked += 1
+    assert checked > 400
+
+
+def test_multipoly_fast_paths_keep_terms_clean(sqrt2_field):
+    _, alpha = sqrt2_field
+    rng = random.Random(77)
+    for nvars in (1, 2, 3):
+        for _ in range(40):
+            p = _random_poly(rng, nvars, alpha if rng.random() < 0.3 else None)
+            q = _random_poly(rng, nvars)
+            for got, want in [(p + q, _raw_add(p, q)), (p - q, _raw_add(p, q, -1)),
+                              (p * q, _raw_mul(p, q)), (p - p, MultiPoly(nvars)),
+                              (p.scale(F(-2, 3)), _raw_mul(p, MultiPoly.constant(F(-2, 3), nvars)))]:
+                assert got == want and str(got) == str(want)
+                _assert_clean(got)
+
+
+def test_multipoly_public_constructor_still_validates():
+    with pytest.raises(BssError, match="bad exponent"):
+        MultiPoly(2, {(1,): F(1)})
+    with pytest.raises(BssError, match="bad exponent"):
+        MultiPoly(1, {(-1,): F(1)})
+    p = MultiPoly(2, {(1, 0): 0, (0, 1): 3, (0, 0): F(0)})
+    assert p.terms == {(0, 1): F(3)} and type(p.terms[(0, 1)]) is F
+
+
+def test_multipoly_products_drop_zero_divisor_coefficients():
+    # X^2 - 1 is reducible, so (1 + a)(1 - a) = 0 although neither factor is
+    field = NumberField(UniPoly([-1, 0, 1]), RatInterval(0, 2))
+    plus, minus = AlgebraicNumber(field, (1, 1)), AlgebraicNumber(field, (1, -1))
+    p = MultiPoly(1, {(1,): plus, (0,): F(1)})
+    q = MultiPoly(1, {(1,): minus})
+    assert (p * q).terms == {(1,): minus}
+    assert (p.scale(minus)).terms == {(0,): minus}

@@ -8,6 +8,12 @@ from bssvm.errors import BssError, DslSyntaxError, ProgramError
 from bssvm.exact import nth_root_field
 from bssvm.machine import (
     BLANK_READ,
+    Arith,
+    Const,
+    Copy,
+    Output,
+    Program,
+    Shift,
     BUDGET_EXHAUSTED,
     DIVISION_BY_ZERO,
     FAULT,
@@ -84,6 +90,29 @@ def test_stdlib_sources_round_trip():
     for name in stdlib_names():
         prog = stdlib_program(name)
         assert parse_program(prog.to_text()) == prog
+
+
+@pytest.mark.parametrize("last", [
+    Const(0, F(1)),
+    Copy(1, 0),
+    Arith("ADD", 1, 0, 0),
+    Arith("SUB", 1, 0, 0),
+    Arith("MUL", 1, 0, 0),
+    Arith("DIV", 1, 0, 0),
+    Shift("left"),
+    Shift("right"),
+], ids=["CONST", "COPY", "ADD", "SUB", "MUL", "DIV", "SHIFTL", "SHIFTR"])
+def test_fall_through_last_instruction_rejected(last):
+    head = (("first", Const(2, F(5))),)
+    with pytest.raises(ProgramError, match="falls through"):
+        Program("p", 1, (), None, head + (("last", last),))
+    # the same instruction is fine before a final OUTPUT
+    Program("p", 1, (), None, head + (("last", last), ("out", Output(0, 0))))
+
+
+def test_fall_through_program_rejected_at_parse():
+    with pytest.raises(BssError, match="falls through"):
+        parse_program("PROGRAM x\nARITY 0\nstart: CONST c0 1\n")
 
 
 def test_arity_mismatch_rejected():

@@ -119,6 +119,19 @@ def test_run_program_file(tmp_path, capsys):
     assert code == 0 and "output: (3)" in out
 
 
+def test_run_fall_through_program_is_an_error(tmp_path):
+    path = tmp_path / "x.bss"
+    path.write_text("PROGRAM x\nARITY 0\nstart: CONST c0 1\n")
+    src = str(Path(bssvm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bssvm.cli", "run", "--program", str(path), "--input", "()"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "falls through" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 # -- shadow and paths ---------------------------------------------------------
 
 def test_shadow_json_schema(capsys):

@@ -7,13 +7,15 @@ import pytest
 
 from bssvm.errors import BssError, CertificateError
 from bssvm.exact import (
+    MultiPoly,
     RationalFunction,
     algebraic_equal,
     nth_root_field,
     rf_eval,
     sign_at,
 )
-from bssvm.machine import Oracle, parse_program, run_concrete
+from bssvm.machine import (Arith, Branch, Const, Oracle, OracleCall, parse_program,
+                           run_concrete)
 from bssvm.stdlib import stdlib_program
 from bssvm.symbolic import (
     PathCondition,
@@ -111,6 +113,107 @@ def test_shadow_fault_is_reported():
     prog = parse_program("PROGRAM d\nARITY 2\ns: DIV c2 c0 c1\no: OUTPUT c2..c2\n")
     trace = shadow_trace(prog, [F(1), F(0)])
     assert trace.outcome == "fault" and trace.fault_kind == "division_by_zero"
+
+
+BARE_CONSTANT_PROGRAMS = {
+    # a constant meets the input variable, and constants meet each other
+    "lift": ("""\
+PROGRAM lift
+ARITY 1
+ZERO 0..6
+a: CONST c1 3
+b: ADD c2 c1 c0
+c: DIV c3 c1 c0
+d: MUL c4 c1 c1
+e: SUB c5 c4 c6
+f: SUB c6 c0 c4
+g: BRANCH c4 h h h
+h: OUTPUT c1..c6
+""", (F(-5, 2),), None),
+    # Y1 - Y1 is the constant 0, a function rather than a bare constant
+    "cancel": ("""\
+PROGRAM cancel
+ARITY 1
+a: SUB c1 c0 c0
+b: ADD c2 c1 c1
+c: BRANCH c1 d d d
+d: OUTPUT c1..c2
+""", (F(7),), None),
+    # a constant-folded query is asked; a mixed one takes the generic answer
+    "fold": ("""\
+PROGRAM fold
+ARITY 1
+a: CONST c1 1
+b: CONST c2 2
+c: DIV c3 c1 c2
+d: ORACLE c1..c3 e e
+e: ORACLE c0..c2 f f
+f: OUTPUT c0..c3
+""", (F(4, 9),), Oracle.rationals(generic_policy=False)),
+}
+
+
+def _unlifted(instr, ref, nvars):
+    """The function an instruction writes, through the canonicalising
+    constructor only."""
+    if isinstance(instr, Const):
+        return RationalFunction(MultiPoly.constant(instr.value, nvars))
+    f, g = ref[instr.src1], ref[instr.src2]
+    if instr.op == "ADD":
+        return RationalFunction(f.num * g.den + g.num * f.den, f.den * g.den)
+    if instr.op == "SUB":
+        return RationalFunction(f.num * g.den - g.num * f.den, f.den * g.den)
+    if instr.op == "MUL":
+        return RationalFunction(f.num * g.num, f.den * g.den)
+    return RationalFunction(f.num * g.den, f.den * g.num)
+
+
+def _same(got, want):
+    assert isinstance(got, RationalFunction)
+    assert got == want and str(got) == str(want) and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("name", sorted(BARE_CONSTANT_PROGRAMS))
+def test_shadow_lifts_bare_constants_in_every_public_field(name):
+    text, inputs, oracle = BARE_CONSTANT_PROGRAMS[name]
+    prog = parse_program(text)
+    trace = shadow_trace(prog, inputs, oracle=oracle, use_generic=True)
+    assert trace.outcome == "halted"
+    nvars = len(inputs)
+    ref = {i: RationalFunction.var(i, nvars) for i in range(nvars)}
+    if prog.zero_window is not None:
+        lo, hi = prog.zero_window
+        ref.update({c: RationalFunction(MultiPoly(nvars)) for c in range(max(lo, nvars), hi + 1)})
+    branches, queries = iter(trace.branch_log), iter(trace.oracle_log)
+    for step in trace.steps:
+        instr = prog.instructions[step.pc][1]
+        if isinstance(instr, (Const, Arith)):
+            ref[instr.dst] = _unlifted(instr, ref, nvars)
+            assert step.cells.keys() == {instr.dst}
+            _same(step.cells[instr.dst], ref[instr.dst])
+        elif isinstance(instr, Branch):
+            event = next(branches)
+            _same(event.function, ref[instr.src])
+        elif isinstance(instr, OracleCall):
+            event = next(queries)
+            for got, cell in zip(event.functions, range(instr.lo, instr.hi + 1)):
+                _same(got, ref[cell])
+            assert event.was_constant == (instr.lo > 0)
+        snapshot = trace.cells_at(step.index)
+        assert snapshot.keys() == ref.keys()
+        for cell in ref:
+            _same(snapshot[cell], ref[cell])
+    assert next(branches, None) is None and next(queries, None) is None
+    lo, hi = prog.instructions[-1][1].lo, prog.instructions[-1][1].hi
+    for got, cell in zip(trace.output_functions, range(lo, hi + 1), strict=True):
+        _same(got, ref[cell])
+    assert trace.final_cells.keys() == ref.keys()
+    for cell in ref:
+        _same(trace.final_cells[cell], ref[cell])
+    assert field_boundary_check(trace).ok
+    if name == "fold":
+        # the folded query (1, 2, 1/2) was asked, the mixed one was not
+        assert [e.answer for e in trace.oracle_log] == [True, False]
 
 
 # -- certificates ------------------------------------------------------------
