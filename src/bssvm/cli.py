@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import BssError, CertificateError
-from .exact import NumberField, RatInterval, UniPoly, parse_rational, format_rational
+from .exact import (AlgebraicNumber, NumberField, RatInterval, UniPoly, parse_rational,
+                    format_rational)
 from .machine import (
     DEFAULT_BUDGET,
     Oracle,
@@ -32,6 +33,7 @@ from .machine import (
     trace_to_text,
 )
 from .serialize import (
+    _ENCLOSURE_WIDTH,
     cantor_to_json,
     certificate_to_json,
     shadow_to_json,
@@ -41,7 +43,6 @@ from .serialize import (
     witness_to_json,
 )
 from .stdlib import stdlib_names, stdlib_program
-from .stdlib.sources import source_text
 from .symbolic import (
     epsilon_certificate,
     extract_f,
@@ -115,7 +116,6 @@ def parse_input_tuple(text: str, fields: dict[str, NumberField]) -> tuple:
                 raise UsageError(f"{name!r} elements take at most "
                                  f"{field.degree} coordinates")
             coords += [Fraction(0)] * (field.degree - len(coords))
-            from .exact import AlgebraicNumber
             values.append(AlgebraicNumber(field, tuple(coords)))
         else:
             try:
@@ -242,14 +242,11 @@ def cmd_run(args) -> int:
 
 
 def _render_value(v) -> str:
-    j = value_to_json(v)
-    if isinstance(j, dict):
-        mid = (Fraction(j["enclosure"][0]) + Fraction(j["enclosure"][1])) / 2
-        element = UniPoly.parse(j["element"]).pretty()
-        min_poly = UniPoly.parse(j["min_poly"]).pretty()
-        return (f"{element} where {min_poly} = 0; "
-                f"approximately {float(mid):.6g}")
-    return j
+    if isinstance(v, AlgebraicNumber) and not v.is_rational():
+        enc = v.enclosure(_ENCLOSURE_WIDTH)
+        return (f"{UniPoly(v.coords).pretty()} where {v.field.min_poly.pretty()} = 0; "
+                f"approximately {float((enc.lo + enc.hi) / 2):.6g}")
+    return value_to_json(v)
 
 
 def cmd_shadow(args) -> int:
@@ -389,7 +386,7 @@ def cmd_stdlib(args) -> int:
     if args.emit is not None:
         if args.emit not in stdlib_names():
             raise UsageError(f"no library program named {args.emit!r}")
-        print(source_text(args.emit), end="")
+        print(stdlib_program(args.emit).to_text(), end="")
         return 0
     entries = [{"name": name, "arity": stdlib_program(name).arity}
                for name in stdlib_names()]

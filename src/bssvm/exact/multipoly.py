@@ -349,18 +349,18 @@ def mp_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 DEFAULT_COEFF_WIDTH = Fraction(1, 2 ** 32)
 
 
-def interval_eval(p: MultiPoly, boxes, coeff_width: Fraction = DEFAULT_COEFF_WIDTH) -> RatInterval:
+def interval_eval(p: MultiPoly, boxes) -> RatInterval:
     """Enclosure of p over a box per variable, term by term.
 
     Algebraic coefficients are first narrowed to rational enclosures of
-    width at most coeff_width.
+    width at most DEFAULT_COEFF_WIDTH.
     """
     if len(boxes) != p.nvars:
         raise BssError("wrong number of interval arguments")
     acc = RatInterval.point(0)
     for e, c in p.terms.items():
         if isinstance(c, AlgebraicNumber):
-            ci = c.enclosure(max_width=coeff_width)
+            ci = c.enclosure(max_width=DEFAULT_COEFF_WIDTH)
         else:
             ci = RatInterval.point(c)
         for box, k in zip(boxes, e):

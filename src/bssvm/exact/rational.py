@@ -5,6 +5,7 @@ already guarantees the reduced form with a positive denominator.  This module
 only adds the textual wire format ("p/q", or "p" for integers).
 """
 
+import sys
 from fractions import Fraction
 
 from ..errors import BssError
@@ -27,6 +28,27 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        # str() refuses integers past sys.get_int_max_str_digits() (at
+        # least 640); a piece of 3 * limit bits has at most 0.91 * limit + 1
+        # decimal digits, which str() accepts.
+        max_bits = 3 * sys.get_int_max_str_digits()
+        num = _decimal(abs(q.numerator), 0, max_bits)
+        text = "-" + num if q.numerator < 0 else num
+        if q.denominator == 1:
+            return text
+        return f"{text}/{_decimal(q.denominator, 0, max_bits)}"
+
+
+def _decimal(n: int, width: int, max_bits: int) -> str:
+    """Decimal digits of n >= 0, zero-padded to width, by splitting n at a
+    power of ten until every piece has at most max_bits bits."""
+    if n.bit_length() <= max_bits:
+        return str(n).zfill(width)
+    k = n.bit_length() * 3 // 20        # about half of n's decimal digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high, width - k, max_bits) + _decimal(low, k, max_bits)

@@ -15,7 +15,7 @@ requires the coordinate to be rational.  Anything else raises
 OracleUnsupported, which the interpreter converts into an
 `oracle_unsupported` fault.
 
-generic_policy is the answer the shadow analyses substitute for queries
+GENERIC_ANSWER is the answer the shadow analyses substitute for queries
 whose symbolic form is nonconstant; plain concrete runs never read it.
 """
 
@@ -34,6 +34,12 @@ class OracleUnsupported(BssError):
 
 Value = Fraction | AlgebraicNumber
 
+# Every oracle kind listed above decides a countable set, or (cantor) a set
+# of measure zero.  A nonconstant rational function of the input takes a
+# value in such a set only on a measure-zero set of inputs, so at a generic
+# input every nonconstant query is answered no, whatever the oracle kind.
+GENERIC_ANSWER = False
+
 _KINDS = ("rationals", "algebraic", "degree_eq", "degree_leq", "cantor", "finite", "empty")
 
 
@@ -48,7 +54,6 @@ class Oracle:
     kind: str
     degree: int | None = None
     members: frozenset[tuple[Value, ...]] | None = None
-    generic_policy: bool = False
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -67,33 +72,33 @@ class Oracle:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def rationals(cls, generic_policy: bool = False) -> "Oracle":
-        return cls("rationals", generic_policy=generic_policy)
+    def rationals(cls) -> "Oracle":
+        return cls("rationals")
 
     @classmethod
-    def algebraic(cls, generic_policy: bool = False) -> "Oracle":
-        return cls("algebraic", generic_policy=generic_policy)
+    def algebraic(cls) -> "Oracle":
+        return cls("algebraic")
 
     @classmethod
-    def degree_eq(cls, d: int, generic_policy: bool = False) -> "Oracle":
-        return cls("degree_eq", degree=d, generic_policy=generic_policy)
+    def degree_eq(cls, d: int) -> "Oracle":
+        return cls("degree_eq", degree=d)
 
     @classmethod
-    def degree_leq(cls, d: int, generic_policy: bool = False) -> "Oracle":
-        return cls("degree_leq", degree=d, generic_policy=generic_policy)
+    def degree_leq(cls, d: int) -> "Oracle":
+        return cls("degree_leq", degree=d)
 
     @classmethod
-    def cantor(cls, generic_policy: bool = False) -> "Oracle":
-        return cls("cantor", generic_policy=generic_policy)
+    def cantor(cls) -> "Oracle":
+        return cls("cantor")
 
     @classmethod
-    def finite(cls, tuples, generic_policy: bool = False) -> "Oracle":
+    def finite(cls, tuples) -> "Oracle":
         members = frozenset(tuple(_normalize_value(v) for v in t) for t in tuples)
-        return cls("finite", members=members, generic_policy=generic_policy)
+        return cls("finite", members=members)
 
     @classmethod
-    def empty(cls, generic_policy: bool = False) -> "Oracle":
-        return cls("empty", generic_policy=generic_policy)
+    def empty(cls) -> "Oracle":
+        return cls("empty")
 
 
 def _is_rational(v: Value) -> bool:

@@ -1,38 +1,3 @@
-from .asm import Asm, Cells
-from .programs import (
-    build_sgn,
-    build_sgn_decider,
-    build_interval_member,
-    build_even_zeros,
-    build_inv_shift,
-    build_cantor_cosemidecider,
-    build_oracle_member,
-    build_always_zero,
-    build_eq_probe,
-    build_q_enumerator,
-    build_qx_enumerator,
-    build_algebraic_semidecider,
-    build_dependence,
-    stdlib_names,
-    stdlib_program,
-)
+from .programs import stdlib_names, stdlib_program
 
-__all__ = [
-    "Asm",
-    "Cells",
-    "build_sgn",
-    "build_sgn_decider",
-    "build_interval_member",
-    "build_even_zeros",
-    "build_inv_shift",
-    "build_cantor_cosemidecider",
-    "build_oracle_member",
-    "build_always_zero",
-    "build_eq_probe",
-    "build_q_enumerator",
-    "build_qx_enumerator",
-    "build_algebraic_semidecider",
-    "build_dependence",
-    "stdlib_names",
-    "stdlib_program",
-]
+__all__ = ["stdlib_names", "stdlib_program"]

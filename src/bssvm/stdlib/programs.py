@@ -258,10 +258,11 @@ def build_even_zeros() -> Program:
     return a.build()
 
 
-def build_inv_shift(shift=Fraction(1)) -> Program:
-    """Output 1/(x - shift); the zero-guard branch spins on x == shift."""
+def build_inv_shift() -> Program:
+    """Output 1/(x - shift) with shift = 1; the zero-guard branch spins on
+    x == shift."""
     a = Asm("inv_shift", 1)
-    a.param("shift", shift)
+    a.param("shift", Fraction(1))
     guard = a.fresh("guard")
     go = a.fresh("go")
     a.label("entry")
@@ -694,11 +695,11 @@ def stdlib_names() -> list[str]:
     return list(_BUILDERS)
 
 
-def stdlib_program(name: str, *args, **kwargs) -> Program:
-    """Build a library program by name; extra arguments reach the
-    builders that take parameters (interval bounds, pole shift)."""
+def stdlib_program(name: str, *args) -> Program:
+    """Build a library program by name; extra positional arguments reach
+    the builder (interval_member takes its end points lo, hi)."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise BssError(f"no library program named {name!r}") from None
-    return builder(*args, **kwargs)
+    return builder(*args)

@@ -1,43 +1,15 @@
-"""Checked-in DSL source files mirroring the program builders.
+"""DSL source text of the library programs.
 
-Every library program ships both as a generator (programs.py) and as a
-plain-text source under sources/.  The files are regenerated with
-generate_sources and a test pins them to the builders' output, so the
-two views cannot drift apart.
+The builders in programs.py are the one definition of every library
+program; a program's source text is its builder's output printed by
+Program.to_text, which parse_program reads back to the same program.
 """
 
 from __future__ import annotations
 
-from importlib import resources
-from pathlib import Path
-
-from ..errors import BssError
-from .programs import stdlib_names, stdlib_program
+from .programs import stdlib_program
 
 
 def source_text(name: str) -> str:
-    if name not in stdlib_names():
-        raise BssError(f"no library program named {name!r}")
-    entry = resources.files(__package__).joinpath("sources", f"{name}.bss")
-    try:
-        return entry.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise BssError(f"source file for {name!r} is missing") from None
-
-
-def generate_sources(dest: str | Path) -> list[Path]:
-    """Write every program's DSL text into dest; returns the paths."""
-    dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in stdlib_names():
-        path = dest / f"{name}.bss"
-        path.write_text(stdlib_program(name).to_text(), encoding="utf-8")
-        written.append(path)
-    return written
-
-
-if __name__ == "__main__":
-    here = Path(__file__).resolve().parent / "sources"
-    for p in generate_sources(here):
-        print(p)
+    """The DSL text of the named library program; BssError for an unknown name."""
+    return stdlib_program(name).to_text()

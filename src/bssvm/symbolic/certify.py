@@ -72,8 +72,7 @@ def _coordinate_box(coord: Value, eps: Fraction) -> RatInterval:
     return RatInterval(coord - eps, coord + eps)
 
 
-def epsilon_certificate(functions, center, max_halvings: int = DEFAULT_MAX_HALVINGS,
-                        ) -> EpsilonCertificate:
+def epsilon_certificate(functions, center) -> EpsilonCertificate:
     center = tuple(center)
     fns = sorted(functions, key=str)
     for f in fns:
@@ -83,7 +82,7 @@ def epsilon_certificate(functions, center, max_halvings: int = DEFAULT_MAX_HALVI
         if sign_at(rf_eval(f, center)) == 0:
             raise CertificateError(f"{f} vanishes at the center; no sign to preserve")
     eps = Fraction(1)
-    for _ in range(max_halvings + 1):
+    for _ in range(DEFAULT_MAX_HALVINGS + 1):
         box = [_coordinate_box(c, eps) for c in center]
         enclosures: list[tuple[RatInterval, RatInterval]] = []
         for f in fns:
@@ -96,7 +95,7 @@ def epsilon_certificate(functions, center, max_halvings: int = DEFAULT_MAX_HALVI
             return EpsilonCertificate(center, eps, tuple(fns), tuple(enclosures))
         eps /= 2
     raise CertificateError(
-        f"no certified box after {max_halvings} halvings; "
+        f"no certified box after {DEFAULT_MAX_HALVINGS} halvings; "
         "the input may be too close to a sign boundary")
 
 

@@ -26,7 +26,7 @@ from ..errors import BssError
 from ..exact import (MultiPoly, RationalFunction, UniPoly, rf_eval, sign_at)
 from ..machine.core import (BRANCH, BUDGET_EXHAUSTED, FAULT, FORK, HALTED,
                             compile_program, execute)
-from ..machine.oracle import Oracle, oracle_query
+from ..machine.oracle import GENERIC_ANSWER, Oracle, oracle_query
 from ..machine.program import VAR_ARITY, Program
 from .shadow import input_functions
 
@@ -106,8 +106,8 @@ class PathTree:
 class _PathDomain:
     """Rational functions of the inputs: a sign or an oracle answer is
     decided when the function is constant or the path condition pins it.
-    With generic set, an open oracle answer is the oracle's generic one,
-    and the condition records the assumption."""
+    With generic set, an open oracle answer is the generic one, no
+    (GENERIC_ANSWER), and the condition records the assumption."""
 
     def __init__(self, oracle: Oracle, nvars: int, condition: PathCondition,
                  generic: bool):
@@ -136,7 +136,7 @@ class _PathDomain:
             return oracle_query(self.oracle, tuple(f.constant_value() for f in fns))
         answer = self.condition.assumed(fns)
         if answer is None and self.generic:
-            answer = self.oracle.generic_policy
+            answer = GENERIC_ANSWER
             self.condition = self.condition.with_assumption(fns, answer)
         return answer
 
@@ -147,8 +147,8 @@ def explore_paths(program: Program, arity: int | None = None,
                   step_cap: int = STEP_CAP) -> PathTree:
     """Symbolically execute all paths up to depth_budget forks per path.
 
-    oracle_policy "generic": nonconstant oracle queries take the oracle's
-    generic answer (one arm, assumption logged).  "split": they fork both
+    oracle_policy "generic": nonconstant oracle queries take the generic
+    answer, no (one arm, assumption logged).  "split": they fork both
     ways.  Constant queries are always answered concretely by the oracle.
     """
     if oracle_policy not in ("generic", "split"):

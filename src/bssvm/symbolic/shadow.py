@@ -23,7 +23,7 @@ from ..exact import (AlgebraicNumber, RationalFunction, algebraic_equal,
 from ..machine.core import FAULT, HALTED, compile_program, execute
 from ..machine.interp import (DEFAULT_BUDGET, ConcreteDomain, Value,
                               initial_cells, normalize_input)
-from ..machine.oracle import Oracle
+from ..machine.oracle import GENERIC_ANSWER, Oracle
 from ..machine.program import Program
 
 
@@ -161,15 +161,15 @@ class _ShadowDomain(ConcreteDomain):
     def ask(self, query: tuple[_Shadowed, ...]) -> bool:
         if self.use_generic and not all(c.function is None or c.function.is_constant()
                                         for c in query):
-            return self.oracle.generic_policy
+            return GENERIC_ANSWER
         return super().ask(tuple(c.value for c in query))
 
 
 def shadow_trace(program: Program, input_values, oracle: Oracle | None = None,
                  budget: int = DEFAULT_BUDGET,
                  use_generic: bool = False) -> SymbolicTrace:
-    """use_generic answers nonconstant oracle queries with the oracle's
-    generic policy instead of querying, standing in for an input that the
+    """use_generic answers nonconstant oracle queries with the generic
+    answer, no (GENERIC_ANSWER), instead of querying, standing in for an input that the
     oracle's set misses entirely."""
     if budget < 1:
         raise BssError("budget must be positive")

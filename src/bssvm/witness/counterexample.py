@@ -25,6 +25,7 @@ from ..exact import (
     degree_over_q,
     minimal_polynomial,
 )
+from ..exact.numberfield import _is_prime
 from ..machine import (
     DEFAULT_BUDGET,
     FAULT,
@@ -35,7 +36,7 @@ from ..machine import (
     run_concrete,
 )
 from ..symbolic import epsilon_certificate, extract_f, shadow_trace
-from .depend import _is_prime, choose_prime_m, max_var_degree, place_root
+from .depend import choose_prime_m, max_var_degree, place_root
 
 CONFIRMED = "counterexample_confirmed"
 INAPPLICABLE = "pipeline_inapplicable"

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ..errors import BssError
 from ..exact import AlgebraicNumber, RationalFunction, nth_root_field, sign_at
-from ..exact.numberfield import _rational_nth_root
+from ..exact.numberfield import _is_prime, _rational_nth_root
 from ..machine import Program
 from ..stdlib import stdlib_program
 
@@ -37,17 +37,6 @@ def max_var_degree(functions, var_index: int) -> int:
             raise BssError("max_var_degree expects rational functions")
         best = max(best, f.num.degree_in(var_index - 1), f.den.degree_in(var_index - 1))
     return best
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def choose_prime_m(n: int) -> int:

@@ -58,6 +58,18 @@ def test_rational_parse_format_round_trip():
     assert format_rational(F(-1, 2)) == "-1/2"
 
 
+def test_format_rational_past_the_int_string_limit():
+    # CPython's str() refuses integers of more than 4300 digits by default
+    assert format_rational(F(10 ** 5000)) == "1" + "0" * 5000
+    assert format_rational(F(10 ** 5000 - 1)) == "9" * 5000
+    # a piece that is split again keeps its leading zeros
+    spread = F(10 ** 20000 + 10 ** 5000 + 1)
+    assert format_rational(spread) == "1" + "0" * 14999 + "1" + "0" * 4999 + "1"
+    middle = F(-(123456789 * 10 ** 4400 + 987654321), 7)
+    assert format_rational(middle) == "-123456789" + "0" * 4391 + "987654321/7"
+    assert format_rational(F(-7, 10 ** 4500 + 1)) == "-7/1" + "0" * 4499 + "1"
+
+
 def test_rational_parse_rejects_garbage():
     with pytest.raises(BssError):
         parse_rational("1/0")

@@ -17,7 +17,6 @@ from bssvm.exact import nth_root_field
 from bssvm.machine import run_concrete
 from bssvm.serialize import SCHEMAS, value_to_json
 from bssvm.stdlib import stdlib_names, stdlib_program
-from bssvm.stdlib.sources import source_text
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +93,20 @@ def test_run_with_field_literal(capsys):
     assert doc["output"] == ["1"]
 
 
+@pytest.mark.parametrize("field, value, rendered", [
+    ("a=X^2 - 2;1;2", "(a:(0,1))", "X + 1 where X^2 - 2 = 0; approximately 2.41422"),
+    ("b=X^3 - X - 1;1;2", "(b:(2/3,-1,5))",
+     "-603/3701*X^2 + 666/3701*X + 696/3701 where X^3 - X - 1 = 0; approximately 0.140517"),
+    ("a=X^2 - 2;1;2", "(a:(3,0))", "1/2"),
+])
+def test_run_renders_field_values(capsys, field, value, rendered):
+    # inv_shift outputs 1/(x - 1)
+    code, out, _ = run_cli(capsys, "run", "--stdlib", "inv_shift",
+                           "--field", field, "--input", value)
+    assert code == 0
+    assert f"output: ({rendered})" in out.splitlines()
+
+
 @pytest.mark.parametrize("field, value", [
     ("a=X^2 - 1;0;2", "(a:(-1,1))"),
     ("a=X^4 - 5*X^2 + 6;1;3/2", "(a:(-2,0,1,0))"),
@@ -130,6 +143,23 @@ def test_run_fall_through_program_is_an_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "falls through" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_run_prints_values_past_the_int_string_limit(tmp_path):
+    # 14 squarings of 2 give 2^16384, 4933 decimal digits
+    path = tmp_path / "square.bss"
+    path.write_text("PROGRAM square\nARITY 1\n"
+                    + "".join(f"m{i}: MUL c0 c0 c0\n" for i in range(14))
+                    + "out: OUTPUT c0..c0\n")
+    src = str(Path(bssvm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bssvm.cli", "run", "--program", str(path), "--input", "(2)"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    digits = proc.stdout.splitlines()[-1].removeprefix("output: (").removesuffix(")")
+    assert len(digits) == 4933 and digits.startswith("118973149535723176508")
+    assert int(digits[-9:]) == 2 ** 16384 % 10 ** 9
 
 
 # -- shadow and paths ---------------------------------------------------------
@@ -259,9 +289,10 @@ def test_stdlib_listing(capsys):
 
 
 def test_stdlib_emit_matches_sources(capsys):
-    code, out, _ = run_cli(capsys, "stdlib", "--emit", "cantor_cosemidecider")
-    assert code == 0
-    assert out == source_text("cantor_cosemidecider")
+    for name in stdlib_names():
+        code, out, _ = run_cli(capsys, "stdlib", "--emit", name)
+        assert code == 0
+        assert out == stdlib_program(name).to_text()
 
 
 # -- oracles through the CLI ---------------------------------------------------------

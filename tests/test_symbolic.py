@@ -149,7 +149,7 @@ c: DIV c3 c1 c2
 d: ORACLE c1..c3 e e
 e: ORACLE c0..c2 f f
 f: OUTPUT c0..c3
-""", (F(4, 9),), Oracle.rationals(generic_policy=False)),
+""", (F(4, 9),), Oracle.rationals()),
 }
 
 
