@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -243,10 +244,27 @@ def cmd_run(args) -> int:
 
 def _render_value(v) -> str:
     if isinstance(v, AlgebraicNumber) and not v.is_rational():
-        enc = v.enclosure(_ENCLOSURE_WIDTH)
         return (f"{UniPoly(v.coords).pretty()} where {v.field.min_poly.pretty()} = 0; "
-                f"approximately {float((enc.lo + enc.hi) / 2):.6g}")
+                f"approximately {_six_digits(v)}")
     return value_to_json(v)
+
+
+def _six_digits(v: AlgebraicNumber) -> str:
+    """v to 6 significant digits: the enclosure is narrowed until both of its
+    ends print the same.  Past the width the JSON form uses, the narrowing
+    runs on a copy of the field, so that building the text form changes no
+    enclosure the JSON form prints.  A value exactly on a rounding boundary
+    never gets there; once the ends are adjacent doubles, the midpoint is
+    printed."""
+    width = _ENCLOSURE_WIDTH
+    enc = v.enclosure(width)
+    own = AlgebraicNumber(NumberField(v.field.min_poly, v.field.enclosure()), v.coords)
+    while True:
+        lo, hi = float(enc.lo), float(enc.hi)
+        if f"{lo:.6g}" == f"{hi:.6g}" or math.nextafter(lo, hi) == hi:
+            return f"{float((enc.lo + enc.hi) / 2):.6g}"
+        width *= width
+        enc = own.enclosure(width)
 
 
 def cmd_shadow(args) -> int:

@@ -16,6 +16,11 @@ and never mutated afterwards.  RationalFunction._of(num, den) takes a pair
 that is already canonical; the polynomial, constant and negation fast
 paths build their results with it and call no gcd.
 
+Both types are immutable: no code changes terms, num or den after
+construction.  That lets each cache its hash in a slot the first time it is
+hashed, so a function used as a dict key across many path conditions is
+hashed once.
+
 The gcd is a primitive pseudo-remainder sequence in the highest occurring
 variable, recursing on contents; with a single variable it degenerates to
 the monic Euclidean algorithm over the coefficient field.
@@ -37,7 +42,8 @@ def _grlex_key(e: tuple[int, ...]) -> tuple:
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "terms")
+    # _hash is unset until the first __hash__ fills it
+    __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
@@ -81,7 +87,9 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        # terms are clean, so a constant has at most the one all-zero exponent
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self):
         if self.is_zero():
@@ -117,7 +125,14 @@ class MultiPoly:
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # An AlgebraicNumber coefficient hashes through its field's min_poly,
+        # so narrowing a field in place would leave this cache stale: a
+        # narrowed field has to be a new NumberField.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.nvars, frozenset(self.terms.items())))
+            return h
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -383,7 +398,8 @@ def _is_one(p: MultiPoly) -> bool:
 class RationalFunction:
     """Quotient of MultiPolys in canonical form."""
 
-    __slots__ = ("num", "den")
+    # _hash is unset until the first __hash__ fills it
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
@@ -476,7 +492,11 @@ class RationalFunction:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.num, self.den))
+            return h
 
     def __str__(self) -> str:
         if self.is_polynomial():

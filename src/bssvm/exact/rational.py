@@ -5,6 +5,7 @@ already guarantees the reduced form with a positive denominator.  This module
 only adds the textual wire format ("p/q", or "p" for integers).
 """
 
+import re
 import sys
 from fractions import Fraction
 
@@ -19,12 +20,38 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     try:
         q = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise BssError(f"malformed rational {text!r}") from exc
+    except ValueError as exc:
+        # Fraction(str) also refuses integers past
+        # sys.get_int_max_str_digits(), which format_rational prints.
+        m = _PLAIN.fullmatch(s)
+        if m is None:
+            raise BssError(f"malformed rational {text!r}") from exc
+        sign, num, den = m.groups()
+        max_digits = sys.get_int_max_str_digits()
+        n = _integer(num, max_digits)
+        d = _integer(den, max_digits) if den else 1
+        if d == 0:
+            raise BssError(f"malformed rational {text!r}") from exc
+        return Fraction(-n if sign == "-" else n, d)
     if "." in s or "e" in s.lower():
         # Fraction accepts decimal strings; the wire format does not.
         raise BssError(f"malformed rational {text!r}")
     return q
+
+
+_PLAIN = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _integer(digits: str, max_digits: int) -> int:
+    """int(digits) for a string of ASCII digits, by splitting it at a power
+    of ten until every piece has at most max_digits digits (max_digits > 0:
+    this runs only after the limit refused a well-formed string)."""
+    if len(digits) <= max_digits:
+        return int(digits)
+    k = len(digits) // 2
+    return _integer(digits[:-k], max_digits) * 10 ** k + _integer(digits[-k:], max_digits)
 
 
 def format_rational(q: Fraction) -> str:

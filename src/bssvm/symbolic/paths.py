@@ -37,20 +37,38 @@ _SIGN_ARM = {-1: "-1", 0: "0", 1: "+1"}
 
 @dataclass(frozen=True)
 class PathCondition:
+    """Sign constraints and oracle assumptions that select one path.
+
+    Besides its two fields, a condition keeps _signs, an index from each
+    constrained function to its sign.  It is not a field, so ==, hash and
+    repr see only the fields.  The constructor builds it and rejects a
+    function pinned to two signs; with_constraint and with_assumption
+    extend a copy of the parent's index (or share it unchanged), so a fork
+    hashes only the new function.  An index is never mutated once its
+    condition exists, because sibling arms share their parent's.
+    """
+
     constraints: tuple[tuple[RationalFunction, int], ...] = ()
     oracle_assumptions: tuple[tuple[tuple[RationalFunction, ...], bool], ...] = ()
 
     def __post_init__(self):
-        seen: dict[RationalFunction, int] = {}
+        signs: dict[RationalFunction, int] = {}
         for f, s in self.constraints:
-            if seen.setdefault(f, s) != s:
+            if signs.setdefault(f, s) != s:
                 raise BssError(f"contradictory signs on {f} in one path condition")
+        object.__setattr__(self, "_signs", signs)
+
+    @classmethod
+    def _of(cls, constraints, oracle_assumptions, signs) -> "PathCondition":
+        """Trusted constructor: signs is the index of constraints."""
+        cond = object.__new__(cls)
+        object.__setattr__(cond, "constraints", constraints)
+        object.__setattr__(cond, "oracle_assumptions", oracle_assumptions)
+        object.__setattr__(cond, "_signs", signs)
+        return cond
 
     def sign_of(self, f: RationalFunction) -> int | None:
-        for g, s in self.constraints:
-            if g == f:
-                return s
-        return None
+        return self._signs.get(f)
 
     def assumed(self, fns: tuple[RationalFunction, ...]) -> bool | None:
         for g, a in self.oracle_assumptions:
@@ -59,11 +77,20 @@ class PathCondition:
         return None
 
     def with_constraint(self, f: RationalFunction, s: int) -> "PathCondition":
-        return PathCondition(self.constraints + ((f, s),), self.oracle_assumptions)
+        signs = self._signs
+        known = signs.get(f)
+        if known is None:
+            signs = dict(signs)
+            signs[f] = s
+        elif known != s:
+            raise BssError(f"contradictory signs on {f} in one path condition")
+        return PathCondition._of(self.constraints + ((f, s),),
+                                 self.oracle_assumptions, signs)
 
     def with_assumption(self, fns, answer: bool) -> "PathCondition":
-        return PathCondition(self.constraints,
-                             self.oracle_assumptions + ((tuple(fns), answer),))
+        return PathCondition._of(self.constraints,
+                                 self.oracle_assumptions + ((tuple(fns), answer),),
+                                 self._signs)
 
     def satisfied_by(self, values, oracle: Oracle | None = None) -> bool:
         """Do concrete input values meet every constraint (and, when an
@@ -235,9 +262,8 @@ def boundary_report(tree: PathTree) -> set[MultiPoly]:
         for lb, vb in decided[i + 1:]:
             if va == vb:
                 continue
-            signs_b = dict(lb.condition.constraints)
             for f, sa in la.condition.constraints:
-                sb = signs_b.get(f)
+                sb = lb.condition.sign_of(f)
                 if sb is not None and sb != sa:
                     polys.add(f.num)
     return polys

@@ -70,11 +70,24 @@ def test_format_rational_past_the_int_string_limit():
     assert format_rational(F(-7, 10 ** 4500 + 1)) == "-7/1" + "0" * 4499 + "1"
 
 
+def test_rational_parse_past_the_int_string_limit():
+    # Fraction(str) refuses integers of more than 4300 digits by default;
+    # every value format_rational prints must read back
+    big = F(2 ** 16384)
+    for q in (big, -big, F(-3, 7 ** 6000), F(10 ** 5000 + 1, 10 ** 4400 + 7)):
+        assert parse_rational(format_rational(q)) == q
+    assert parse_rational(" +" + "0" * 5000 + "12/4 ") == 3
+
+
 def test_rational_parse_rejects_garbage():
     with pytest.raises(BssError):
         parse_rational("1/0")
     with pytest.raises(BssError):
         parse_rational("two")
+    for text in ("1.5", "1e5", "9" * 5000 + "x", "9" * 5000 + ".5", "9" * 5000 + "/0",
+                 "1/" + "0" * 5000, "9" * 5000 + "/-3", "--" + "9" * 5000):
+        with pytest.raises(BssError, match="malformed rational"):
+            parse_rational(text)
 
 
 # -- univariate polynomials --------------------------------------------------
@@ -629,6 +642,59 @@ def test_multipoly_fast_paths_keep_terms_clean(sqrt2_field):
                               (p.scale(F(-2, 3)), _raw_mul(p, MultiPoly.constant(F(-2, 3), nvars)))]:
                 assert got == want and str(got) == str(want)
                 _assert_clean(got)
+
+
+def _rebuilt(f):
+    """A fresh, equal object from the public constructors."""
+    if isinstance(f, MultiPoly):
+        return MultiPoly(f.nvars, dict(f.terms))
+    return RationalFunction(_rebuilt(f.num), _rebuilt(f.den))
+
+
+def test_cached_hashes_match_the_constructor(sqrt2_field):
+    # fast-path and _of results hash like the equal function the public
+    # constructor builds, on the first hash (which fills the cache) and after
+    _, alpha = sqrt2_field
+    rng = random.Random(91)
+    checked = 0
+    for nvars in (1, 2):
+        for _ in range(30):
+            coeffs = alpha if rng.random() < 0.5 else None
+            p, q = _random_poly(rng, nvars, coeffs), _random_poly(rng, nvars)
+            a = _random_operand(rng, rng.choice(OPERAND_KINDS), nvars, alpha)
+            b = _random_operand(rng, rng.choice(OPERAND_KINDS), nvars, alpha)
+            for got in (p + q, p - q, p * q, -p, p - p, p.scale(F(3, 2)),
+                        MultiPoly._of(nvars, dict(p.terms)),
+                        a + b, a - b, a * b, -a, RationalFunction._of(a.num, a.den),
+                        RationalFunction.constant(F(rng.randint(-3, 3), 2), nvars)):
+                first = hash(got)
+                assert first == hash(_rebuilt(got))
+                assert hash(got) == first == hash(_rebuilt(got))
+                # the definitions the cache must keep
+                if isinstance(got, MultiPoly):
+                    assert first == hash((got.nvars, frozenset(got.terms.items())))
+                else:
+                    assert first == hash((got.num, got.den))
+                checked += 1
+    assert checked == 780
+
+
+def test_is_constant_matches_the_degree_definition(sqrt2_field):
+    _, alpha = sqrt2_field
+    rng = random.Random(92)
+    seen = set()
+    for nvars in (0, 1, 2, 3):
+        polys = [MultiPoly(nvars), MultiPoly.constant(F(-2, 3), nvars),
+                 MultiPoly.constant(alpha, nvars)]
+        for _ in range(40):
+            p = _random_poly(rng, nvars, alpha if rng.random() < 0.3 else None)
+            polys += [p, p - p, p - MultiPoly._of(nvars, {e: c for e, c in p.terms.items()
+                                                          if any(e)})]
+        for p in polys:
+            want = all(sum(e) == 0 for e in p.terms)
+            assert p.is_constant() == want, str(p)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_multipoly_public_constructor_still_validates():

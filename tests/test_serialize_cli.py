@@ -15,7 +15,7 @@ from bssvm import cli
 from bssvm.cli import main
 from bssvm.exact import nth_root_field
 from bssvm.machine import run_concrete
-from bssvm.serialize import SCHEMAS, value_to_json
+from bssvm.serialize import SCHEMAS, trace_to_json, value_to_json
 from bssvm.stdlib import stdlib_names, stdlib_program
 
 
@@ -94,9 +94,9 @@ def test_run_with_field_literal(capsys):
 
 
 @pytest.mark.parametrize("field, value, rendered", [
-    ("a=X^2 - 2;1;2", "(a:(0,1))", "X + 1 where X^2 - 2 = 0; approximately 2.41422"),
+    ("a=X^2 - 2;1;2", "(a:(0,1))", "X + 1 where X^2 - 2 = 0; approximately 2.41421"),
     ("b=X^3 - X - 1;1;2", "(b:(2/3,-1,5))",
-     "-603/3701*X^2 + 666/3701*X + 696/3701 where X^3 - X - 1 = 0; approximately 0.140517"),
+     "-603/3701*X^2 + 666/3701*X + 696/3701 where X^3 - X - 1 = 0; approximately 0.140522"),
     ("a=X^2 - 2;1;2", "(a:(3,0))", "1/2"),
 ])
 def test_run_renders_field_values(capsys, field, value, rendered):
@@ -105,6 +105,17 @@ def test_run_renders_field_values(capsys, field, value, rendered):
                            "--field", field, "--input", value)
     assert code == 0
     assert f"output: ({rendered})" in out.splitlines()
+    # The JSON form still builds the text lines first, and they narrow each
+    # output to the JSON width; narrowing further for the digits must leave
+    # every enclosure the JSON form prints as it was.
+    code, doc, _ = run_json(capsys, "run", "--stdlib", "inv_shift",
+                            "--field", field, "--input", value)
+    name, fld = cli.parse_field_registration(field)
+    result, trace = run_concrete(stdlib_program("inv_shift"),
+                                 cli.parse_input_tuple(value, {name: fld}))
+    for v in result.output:
+        value_to_json(v)
+    assert code == 0 and doc == json.loads(json.dumps(trace_to_json(trace)))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -160,6 +171,12 @@ def test_run_prints_values_past_the_int_string_limit(tmp_path):
     digits = proc.stdout.splitlines()[-1].removeprefix("output: (").removesuffix(")")
     assert len(digits) == 4933 and digits.startswith("118973149535723176508")
     assert int(digits[-9:]) == 2 ** 16384 % 10 ** 9
+    # and the printed value reads back as an input
+    proc = subprocess.run(
+        [sys.executable, "-m", "bssvm.cli", "run", "--stdlib", "sgn", "--input", f"({digits})"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "output: (1)"
 
 
 # -- shadow and paths ---------------------------------------------------------

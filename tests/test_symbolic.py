@@ -1,5 +1,6 @@
 """Symbolic layer: shadow traces, certificates, path exploration."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -315,6 +316,51 @@ def test_path_condition_contradiction_rejected():
     cond = PathCondition(((y, 1),))
     with pytest.raises(BssError):
         cond.with_constraint(y, -1)
+    with pytest.raises(BssError):
+        PathCondition(((y, 1), (y - RationalFunction.constant(F(0), 1), 0)))
+    with pytest.raises(BssError):
+        dataclasses.replace(cond, constraints=((y, 1), (y, -1)))
+    assert cond.with_constraint(y, 1).sign_of(y) == 1
+
+
+def test_path_condition_sign_of_matches_a_linear_scan():
+    tree = explore_paths(stdlib_program("cantor_cosemidecider"), depth_budget=5)
+    fns = {f for leaf in tree.leaves for f, _ in leaf.condition.constraints}
+    fns |= {f + RationalFunction.constant(F(1), 1) for f in fns}   # unconstrained ones
+    for leaf in tree.leaves:
+        cond = leaf.condition
+        for f in fns:
+            want = next((s for g, s in cond.constraints if g == f), None)
+            assert cond.sign_of(f) == want
+    assert len(tree.leaves) > 100
+
+
+def test_path_condition_forks_leave_the_parent_untouched():
+    y = RationalFunction.var(0, 2)
+    z = RationalFunction.var(1, 2)
+    parent = PathCondition(((y, 1),))
+    arms = [parent.with_constraint(z, s) for s in (-1, 0, 1)]
+    answers = [parent.with_assumption((z,), a) for a in (False, True)]
+    assert parent.sign_of(z) is None and parent.constraints == ((y, 1),)
+    for arm, s in zip(arms, (-1, 0, 1)):
+        assert arm.sign_of(z) == s and arm.sign_of(y) == 1
+        assert arm == PathCondition(((y, 1), (z, s)))
+    for cond, a in zip(answers, (False, True)):
+        assert cond.sign_of(y) == 1 and cond.sign_of(z) is None
+        assert cond.assumed((z,)) is a
+        assert cond == PathCondition(((y, 1),), (((z,), a),))
+
+
+def test_path_condition_replace_eq_hash_and_repr_see_only_the_fields():
+    y = RationalFunction.var(0, 1)
+    built = PathCondition().with_constraint(y, 1).with_assumption((y,), False)
+    direct = PathCondition(((y, 1),), (((y,), False),))
+    assert built == direct and hash(built) == hash(direct) and repr(built) == repr(direct)
+    assert [f.name for f in dataclasses.fields(PathCondition)] == [
+        "constraints", "oracle_assumptions"]
+    moved = dataclasses.replace(built, constraints=((y, -1),))
+    assert moved.sign_of(y) == -1 and built.sign_of(y) == 1
+    assert moved != built and moved.oracle_assumptions == built.oracle_assumptions
 
 
 def test_path_condition_satisfied_by():
