@@ -6,7 +6,9 @@
 #
 # Each tree is a checkout holding src/bssvm.  shadow and certify run once with
 # a rational input and once with an input in Q(sqrt 2); paths runs at its
-# default depth (the qx_enumerator tree alone takes minutes and prints 48 MB).
+# default depth (the qx_enumerator tree alone takes minutes and prints 48 MB),
+# and the three programs that take --oracle also run paths under
+# --oracle-policy split.
 # Every command's stdout, exit code and last line of stderr go to
 # OUT_DIR/old and OUT_DIR/new, and the script ends with diff -r of the two:
 # exit status 0 and no diff output mean identical outputs.
@@ -43,6 +45,9 @@ for side in old new; do
       run $p.$cmd.field $cmd --stdlib $p $oracle --field "$field" --input "$algebraic"
     done
     run $p.paths paths --stdlib $p $oracle
+    if [ -n "$oracle" ]; then
+      run $p.paths.split paths --stdlib $p $oracle --oracle-policy split
+    fi
   done
 done
 diff -r "$3/old" "$3/new"

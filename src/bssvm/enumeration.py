@@ -37,7 +37,6 @@ __all__ = [
     "rationals",
     "composition_count",
     "unrank_composition",
-    "weak_compositions",
     "unipoly_at",
     "unipolys",
     "monomials_upto",
@@ -100,11 +99,6 @@ def unrank_composition(total: int, parts: int, rank: int) -> tuple[int, ...]:
         total -= v
     out.append(total)
     return tuple(out)
-
-
-def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    for rank in range(composition_count(total, parts)):
-        yield unrank_composition(total, parts, rank)
 
 
 def _unipoly_locate(n: int) -> tuple[int, int, tuple[int, ...]]:

@@ -33,9 +33,6 @@ class RatInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
@@ -63,15 +60,6 @@ class RatInterval:
                  self.hi * other.lo, self.hi * other.hi)
         return RatInterval(min(prods), max(prods))
 
-    def scale(self, c: Fraction) -> RatInterval:
-        c = Fraction(c)
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
-
-    def shift(self, c: Fraction) -> RatInterval:
-        return RatInterval(self.lo + c, self.hi + c)
-
     def inverse(self) -> RatInterval:
         if self.contains_zero():
             raise PoleError("interval inverse across zero")
@@ -92,13 +80,6 @@ class RatInterval:
             return RatInterval(self.hi ** n, self.lo ** n)
         # Even power of an interval straddling zero.
         return RatInterval(0, max(self.lo ** n, self.hi ** n))
-
-    def intersect(self, other: RatInterval) -> RatInterval:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise BssError("empty interval intersection")
-        return RatInterval(lo, hi)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatInterval)

@@ -295,16 +295,6 @@ def _split(p: MultiPoly, v: int) -> list[MultiPoly]:
     return [MultiPoly._of(p.nvars, t) for t in out]
 
 
-def _join(coeffs: list[MultiPoly], v: int, nvars: int) -> MultiPoly:
-    out: dict = {}
-    for k, q in enumerate(coeffs):
-        for e, c in q.terms.items():
-            t = list(e)
-            t[v] += k
-            out[tuple(t)] = c
-    return MultiPoly._of(nvars, out)
-
-
 def _content(p: MultiPoly, v: int) -> MultiPoly:
     g = MultiPoly._of(p.nvars, {})
     for q in _split(p, v):

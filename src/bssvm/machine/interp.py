@@ -59,6 +59,12 @@ class Trace:
     steps: list[StepRecord]
     result: RunResult
 
+    def branch_history(self) -> tuple[int, ...]:
+        return tuple(s.branch_sign for s in self.steps if s.branch_sign is not None)
+
+    def oracle_history(self) -> tuple[bool, ...]:
+        return tuple(s.oracle_event[1] for s in self.steps if s.oracle_event is not None)
+
 
 def normalize_input(program: Program, input_values) -> tuple[Value, ...]:
     values = tuple(v if isinstance(v, AlgebraicNumber) else Fraction(v) for v in input_values)

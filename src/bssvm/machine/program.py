@@ -181,9 +181,6 @@ class Program:
                 return value
         raise ProgramError(f"unknown parameter {name!r}")
 
-    def param_values(self) -> tuple[Fraction, ...]:
-        return tuple(value for _, value in self.params)
-
     # -- printing ----------------------------------------------------------
 
     def to_text(self) -> str:

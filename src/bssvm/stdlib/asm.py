@@ -33,11 +33,6 @@ class Cells:
             setattr(self, name, self._top)
             self._top += 1
 
-    def alloc(self, name: str) -> int:
-        setattr(self, name, self._top)
-        self._top += 1
-        return self._top - 1
-
     @property
     def top(self) -> int:
         return self._top

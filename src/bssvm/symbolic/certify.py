@@ -152,12 +152,10 @@ def verify_neighborhood(program: Program, oracle: Oracle | None,
         point = tuple(anchor + Fraction(rng.randint(-_GRID, _GRID), _GRID) * radius
                       for anchor, radius in anchors)
         result, run = run_concrete(program, point, oracle, budget=budget)
-        got_branches = tuple(s.branch_sign for s in run.steps if s.branch_sign is not None)
-        got_oracle = tuple(s.oracle_event[1] for s in run.steps if s.oracle_event is not None)
         if result.status != "halted":
             results.append(SampleResult(point, False, f"status {result.status}"))
             continue
-        if got_branches != want_branches or got_oracle != want_oracle:
+        if run.branch_history() != want_branches or run.oracle_history() != want_oracle:
             results.append(SampleResult(point, False, "path diverged from the trace"))
             continue
         expected = tuple(rf_eval(f, point) for f in trace.output_functions)

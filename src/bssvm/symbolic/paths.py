@@ -14,6 +14,10 @@ loops between forks.
 Equality arms (sign 0) on nonconstant functions describe measure-zero input
 sets; their leaves are flagged so downstream consumers can skip them.
 
+The index from function to sign that makes each lookup O(1) lives on the
+explorer's stack, one dict per pending state, so it dies with its state and
+a finished leaf keeps only its plain PathCondition.
+
 Paths run on the execution core (machine/core.py) over rational functions.
 """
 
@@ -37,16 +41,7 @@ _SIGN_ARM = {-1: "-1", 0: "0", 1: "+1"}
 
 @dataclass(frozen=True)
 class PathCondition:
-    """Sign constraints and oracle assumptions that select one path.
-
-    Besides its two fields, a condition keeps _signs, an index from each
-    constrained function to its sign.  It is not a field, so ==, hash and
-    repr see only the fields.  The constructor builds it and rejects a
-    function pinned to two signs; with_constraint and with_assumption
-    extend a copy of the parent's index (or share it unchanged), so a fork
-    hashes only the new function.  An index is never mutated once its
-    condition exists, because sibling arms share their parent's.
-    """
+    """Sign constraints and oracle assumptions that select one path."""
 
     constraints: tuple[tuple[RationalFunction, int], ...] = ()
     oracle_assumptions: tuple[tuple[tuple[RationalFunction, ...], bool], ...] = ()
@@ -56,19 +51,12 @@ class PathCondition:
         for f, s in self.constraints:
             if signs.setdefault(f, s) != s:
                 raise BssError(f"contradictory signs on {f} in one path condition")
-        object.__setattr__(self, "_signs", signs)
-
-    @classmethod
-    def _of(cls, constraints, oracle_assumptions, signs) -> "PathCondition":
-        """Trusted constructor: signs is the index of constraints."""
-        cond = object.__new__(cls)
-        object.__setattr__(cond, "constraints", constraints)
-        object.__setattr__(cond, "oracle_assumptions", oracle_assumptions)
-        object.__setattr__(cond, "_signs", signs)
-        return cond
 
     def sign_of(self, f: RationalFunction) -> int | None:
-        return self._signs.get(f)
+        for g, s in self.constraints:
+            if g == f:
+                return s
+        return None
 
     def assumed(self, fns: tuple[RationalFunction, ...]) -> bool | None:
         for g, a in self.oracle_assumptions:
@@ -77,20 +65,11 @@ class PathCondition:
         return None
 
     def with_constraint(self, f: RationalFunction, s: int) -> "PathCondition":
-        signs = self._signs
-        known = signs.get(f)
-        if known is None:
-            signs = dict(signs)
-            signs[f] = s
-        elif known != s:
-            raise BssError(f"contradictory signs on {f} in one path condition")
-        return PathCondition._of(self.constraints + ((f, s),),
-                                 self.oracle_assumptions, signs)
+        return PathCondition(self.constraints + ((f, s),), self.oracle_assumptions)
 
     def with_assumption(self, fns, answer: bool) -> "PathCondition":
-        return PathCondition._of(self.constraints,
-                                 self.oracle_assumptions + ((tuple(fns), answer),),
-                                 self._signs)
+        return PathCondition(self.constraints,
+                             self.oracle_assumptions + ((tuple(fns), answer),))
 
     def satisfied_by(self, values, oracle: Oracle | None = None) -> bool:
         """Do concrete input values meet every constraint (and, when an
@@ -132,22 +111,23 @@ class PathTree:
 
 class _PathDomain:
     """Rational functions of the inputs: a sign or an oracle answer is
-    decided when the function is constant or the path condition pins it.
-    With generic set, an open oracle answer is the generic one, no
-    (GENERIC_ANSWER), and the condition records the assumption."""
+    decided when the function is constant or the path pins it in signs or
+    assumptions.  With generic set, an open oracle answer is the generic
+    one, no (GENERIC_ANSWER), and it is appended to assumptions."""
 
-    def __init__(self, oracle: Oracle, nvars: int, condition: PathCondition,
+    def __init__(self, oracle: Oracle, nvars: int, signs: dict, assumptions: tuple,
                  generic: bool):
         self.oracle = oracle
         self.nvars = nvars
-        self.condition = condition
+        self.signs = signs
+        self.assumptions = assumptions
         self.generic = generic
 
     def const(self, q: Fraction) -> RationalFunction:
         return RationalFunction.constant(q, self.nvars)
 
     def div(self, fa: RationalFunction, fb: RationalFunction) -> RationalFunction | None:
-        if fb.is_zero() or self.condition.sign_of(fb) == 0:
+        if fb.is_zero() or self.signs.get(fb) == 0:
             return None
         # a nonconstant divisor with unknown sign is taken as nonzero; the
         # zero fiber is measure zero
@@ -156,22 +136,23 @@ class _PathDomain:
     def sign(self, f: RationalFunction) -> int | None:
         if f.is_constant():
             return sign_at(f.constant_value())
-        return self.condition.sign_of(f)
+        return self.signs.get(f)
 
     def ask(self, fns: tuple[RationalFunction, ...]) -> bool | None:
         if all(f.is_constant() for f in fns):
             return oracle_query(self.oracle, tuple(f.constant_value() for f in fns))
-        answer = self.condition.assumed(fns)
-        if answer is None and self.generic:
-            answer = GENERIC_ANSWER
-            self.condition = self.condition.with_assumption(fns, answer)
-        return answer
+        for g, a in self.assumptions:
+            if g == fns:
+                return a
+        if not self.generic:
+            return None
+        self.assumptions += ((fns, GENERIC_ANSWER),)
+        return GENERIC_ANSWER
 
 
 def explore_paths(program: Program, arity: int | None = None,
                   oracle_policy: str = "generic", depth_budget: int = 12,
-                  oracle: Oracle | None = None,
-                  step_cap: int = STEP_CAP) -> PathTree:
+                  oracle: Oracle | None = None) -> PathTree:
     """Symbolically execute all paths up to depth_budget forks per path.
 
     oracle_policy "generic": nonconstant oracle queries take the generic
@@ -191,34 +172,37 @@ def explore_paths(program: Program, arity: int | None = None,
     nodes: dict[tuple[str, ...], tuple] = {}
     leaves: list[PathLeaf] = []
 
-    # a state is (pc, offset, cells, condition, history, forks)
-    stack = [(0, 0, input_functions(program, arity), PathCondition(), (), 0)]
+    # a state is (pc, offset, cells, constraints, signs, assumptions, history,
+    # forks); signs indexes constraints and is never mutated, so oracle arms
+    # share it
+    stack = [(0, 0, input_functions(program, arity), (), {}, (), (), 0)]
     while stack:
-        pc, offset, cells, condition, history, forks = stack.pop()
-        # step_cap counts the instructions since the last fork
-        domain = _PathDomain(oracle, arity, condition, oracle_policy == "generic")
-        status, pc, offset, _, payload = execute(code, cells, domain, step_cap, pc, offset)
-        condition = domain.condition
+        pc, offset, cells, constraints, signs, assumptions, history, forks = stack.pop()
+        # STEP_CAP counts the instructions since the last fork
+        domain = _PathDomain(oracle, arity, signs, assumptions, oracle_policy == "generic")
+        status, pc, offset, _, payload = execute(code, cells, domain, STEP_CAP, pc, offset)
+        assumptions = domain.assumptions
         if status == FORK and forks < depth_budget:
             op, _, targets, yes, no = code[pc]
             nodes[history] = ("branch" if op == BRANCH else "oracle", payload)
             if op == BRANCH:  # reversed: the stack pops -1 first
-                arms = [(targets[s + 1], condition.with_constraint(payload, s), _SIGN_ARM[s])
-                        for s in (1, 0, -1)]
+                for s in (1, 0, -1):
+                    stack.append((targets[s + 1], offset, dict(cells),
+                                  constraints + ((payload, s),), {**signs, payload: s},
+                                  assumptions, history + (_SIGN_ARM[s],), forks + 1))
             else:
-                arms = [(no, condition.with_assumption(payload, False), "no"),
-                        (yes, condition.with_assumption(payload, True), "yes")]
-            for target, arm_condition, arm in arms:
-                stack.append((target, offset, dict(cells), arm_condition,
-                              history + (arm,), forks + 1))
+                for target, answer, arm in ((no, False, "no"), (yes, True, "yes")):
+                    stack.append((target, offset, dict(cells), constraints, signs,
+                                  assumptions + ((payload, answer),), history + (arm,),
+                                  forks + 1))
             continue
 
         if status == FORK:
             status = BUDGET_EXHAUSTED
-        leaf = PathLeaf(history, condition, status,
+        leaf = PathLeaf(history, PathCondition(constraints, assumptions), status,
                         payload if status == HALTED else None,
                         payload if status == FAULT else None,
-                        any(s == 0 for _, s in condition.constraints), forks)
+                        any(s == 0 for _, s in constraints), forks)
         nodes[history] = ("leaf", leaf)
         leaves.append(leaf)
 
@@ -242,7 +226,8 @@ def boundary_report(tree: PathTree) -> set[MultiPoly]:
     every constraint function pinned to sign 0 somewhere, plus every
     function on which two leaves with different outputs take different
     signs.  Requires a fully halted 0/1-output tree."""
-    decided: list[tuple[PathLeaf, Fraction]] = []
+    # each decided leaf carries its function -> sign index for the pair loop
+    decided: list[tuple[PathLeaf, Fraction, dict]] = []
     for l in tree.leaves:
         if l.outcome != "halted":
             raise BssError(f"leaf {l.history} did not halt; boundary undefined")
@@ -251,19 +236,19 @@ def boundary_report(tree: PathTree) -> set[MultiPoly]:
         value = l.outputs[0].constant_value()
         if value not in (Fraction(0), Fraction(1)):
             raise BssError(f"leaf {l.history} outputs {value}, not 0/1")
-        decided.append((l, value))
+        decided.append((l, value, dict(l.condition.constraints)))
 
     polys: set[MultiPoly] = set()
-    for l, _ in decided:
+    for l, _, _ in decided:
         for f, s in l.condition.constraints:
             if s == 0:
                 polys.add(f.num)
-    for i, (la, va) in enumerate(decided):
-        for lb, vb in decided[i + 1:]:
+    for i, (la, va, _) in enumerate(decided):
+        for _, vb, signs_b in decided[i + 1:]:
             if va == vb:
                 continue
             for f, sa in la.condition.constraints:
-                sb = lb.condition.sign_of(f)
+                sb = signs_b.get(f)
                 if sb is not None and sb != sa:
                     polys.add(f.num)
     return polys

@@ -17,7 +17,6 @@ from .counterexample import (
 )
 from .depend import (
     choose_prime_m,
-    dependence_program,
     max_var_degree,
     place_root,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "CounterexampleReport",
     "build_counterexample",
     "choose_prime_m",
-    "dependence_program",
     "max_var_degree",
     "place_root",
 ]

@@ -128,10 +128,8 @@ def build_counterexample(program: Program, oracle: Oracle, x1, probe_input,
             x1, f"run on the placed pair did not halt ({run.status})",
             n=n, m=m, b=b, x2=x2, epsilon=cert.epsilon)
 
-    got_branches = tuple(s.branch_sign for s in trace.steps if s.branch_sign is not None)
-    got_oracle = tuple(s.oracle_event[1] for s in trace.steps if s.oracle_event is not None)
-    path_equal = (got_branches == shadow.branch_history()
-                  and got_oracle == shadow.oracle_history())
+    path_equal = (trace.branch_history() == shadow.branch_history()
+                  and trace.oracle_history() == shadow.oracle_history())
     machine_output = _single(run.output)
 
     # the placed pair is dependent by construction: (Y2 - b)^m - Y1

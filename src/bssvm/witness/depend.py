@@ -1,9 +1,9 @@
-"""Algebraic-dependence search and root placement helpers.
+"""Root placement helpers for the algebraic-dependence witness.
 
-dependence_program re-exports the two-variable dependence searcher from
-the program library.  max_var_degree / choose_prime_m / place_root are
-the host-side steps that pick the extension degree and drop an m-th
-root next to a target point, with exact sign checks on the result.
+max_var_degree / choose_prime_m / place_root are the host-side steps that
+pick the extension degree and drop an m-th root next to a target point,
+with exact sign checks on the result.  The dependence searcher itself is
+the library program "dependence".
 """
 
 from __future__ import annotations
@@ -13,16 +13,8 @@ from fractions import Fraction
 from ..errors import BssError
 from ..exact import AlgebraicNumber, RationalFunction, nth_root_field, sign_at
 from ..exact.numberfield import _is_prime, _rational_nth_root
-from ..machine import Program
-from ..stdlib import stdlib_program
 
 PLACE_ROOT_MAX_STEPS = 20_000
-
-
-def dependence_program() -> Program:
-    """Arity-2 searcher that halts exactly when some nonzero bivariate
-    rational polynomial vanishes on the input pair."""
-    return stdlib_program("dependence")
 
 
 def max_var_degree(functions, var_index: int) -> int:

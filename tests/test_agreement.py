@@ -126,11 +126,10 @@ def test_concrete_shadow_and_tree_agree(text, oracle, values, status, fault_kind
     for cs, ss in zip(ctrace.steps, strace.steps):
         assert ss.values == dict(cs.writes)
         assert set(ss.cells) == set(ss.values)
-    assert strace.branch_history() == tuple(
-        s.branch_sign for s in ctrace.steps if s.branch_sign is not None)
+    assert strace.branch_history() == ctrace.branch_history()
+    assert strace.oracle_history() == ctrace.oracle_history()
 
-    tree = explore_paths(program, oracle_policy="split", oracle=oracle,
-                         step_cap=BUDGET)
+    tree = explore_paths(program, oracle_policy="split", oracle=oracle)
     holding = [leaf for leaf in tree.leaves
                if leaf.condition.satisfied_by(values, oracle)]
     assert len(holding) == 1
@@ -146,7 +145,7 @@ def test_concrete_shadow_and_tree_agree(text, oracle, values, status, fault_kind
 
 def test_tree_leaf_at_step_cap():
     program = parse_program(LOOP)
-    tree = explore_paths(program, step_cap=BUDGET)
+    tree = explore_paths(program)
     assert [(leaf.history, leaf.outcome, leaf.forks_used) for leaf in tree.leaves] \
         == [((), "budget_exhausted", 0)]
     assert tree.nodes == {(): ("leaf", tree.leaves[0])}

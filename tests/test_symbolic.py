@@ -332,7 +332,13 @@ def test_path_condition_sign_of_matches_a_linear_scan():
         for f in fns:
             want = next((s for g, s in cond.constraints if g == f), None)
             assert cond.sign_of(f) == want
+        assert set(vars(cond)) == {"constraints", "oracle_assumptions"}
     assert len(tree.leaves) > 100
+    split = explore_paths(stdlib_program("oracle_member"), oracle_policy="split",
+                          depth_budget=5)
+    assert any(leaf.condition.oracle_assumptions for leaf in split.leaves)
+    for leaf in split.leaves:
+        assert set(vars(leaf.condition)) == {"constraints", "oracle_assumptions"}
 
 
 def test_path_condition_forks_leave_the_parent_untouched():
@@ -380,6 +386,32 @@ def test_explore_paths_depth_budget_marks_leaves():
     assert all(l.forks_used <= 3 for l in tree.leaves)
 
 
+# the second BRANCH tests the function the first one already pinned
+BRANCH_TWICE = """\
+PROGRAM twice
+ARITY 1
+first:  BRANCH c0 neg1 zero1 pos1
+neg1:   CONST c1 -1
+j1:     JMP second
+zero1:  CONST c1 0
+j2:     JMP second
+pos1:   CONST c1 1
+second: BRANCH c0 neg2 zero2 pos2
+neg2:   CONST c2 -2
+j3:     JMP out
+zero2:  CONST c2 0
+j4:     JMP out
+pos2:   CONST c2 2
+out:    OUTPUT c1..c2
+"""
+
+
+def test_explore_paths_forces_a_pinned_sign():
+    tree = explore_paths(parse_program(BRANCH_TWICE))
+    assert [(l.history, tuple(str(f) for f in l.outputs)) for l in tree.leaves] == [
+        (("-1",), ("-1", "-2")), (("0",), ("0", "0")), (("+1",), ("1", "2"))]
+
+
 def test_boundary_report_sgn_decider():
     tree = explore_paths(stdlib_program("sgn_decider"), depth_budget=10)
     polys = boundary_report(tree)
@@ -396,6 +428,15 @@ def test_boundary_report_interval_member():
         assert u.degree == 1
         roots.add(-u.coeff(0) / u.coeff(1))
     assert roots == {F(1, 2), F(1)}
+
+
+def test_boundary_report_pairs_leaves_without_a_zero_arm():
+    # with the sign-0 leaf dropped, Y1 is on the boundary only because the
+    # two remaining leaves differ on its sign and on their output
+    tree = explore_paths(stdlib_program("sgn_decider"), depth_budget=10)
+    open_arms = tuple(l for l in tree.leaves if not l.measure_zero)
+    polys = boundary_report(dataclasses.replace(tree, leaves=open_arms))
+    assert {str(p) for p in polys} == {"Y1"}
 
 
 def test_boundary_report_rejects_non_indicator_outputs():
