@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import operator
 
+from ..errors import BssError
 from .oracle import OracleUnsupported
 from .program import Arith, Branch, Const, Copy, Jmp, OracleCall, Program, Shift
 
@@ -84,6 +85,14 @@ def compile_program(program: Program) -> tuple[tuple, ...]:
             rows.append((OUTPUT, ins.lo, ins.hi, None, None))
     code = program.__dict__["_code"] = tuple(rows)
     return code
+
+
+def check_budget(budget, name: str, least: int) -> None:
+    """Reject a budget that is not an int (a bool included) or is below least."""
+    if type(budget) is bool or not isinstance(budget, int):
+        raise BssError(f"{name} must be an int, got {budget!r}")
+    if budget < least:
+        raise BssError(f"{name} must be at least {least}, got {budget}")
 
 
 def execute(code, cells: dict, domain, budget: int, pc: int = 0, offset: int = 0,

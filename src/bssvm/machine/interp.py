@@ -6,17 +6,23 @@ an oracle that cannot decide its query is an oracle_unsupported fault.
 
 Each executed instruction appends one step record: label, instruction,
 cells written (absolute), branch sign taken, oracle query and answer.
+
+StepRecord is a typing.NamedTuple, not a dataclass: dataclasses.replace,
+asdict and fields do not apply to it, while its _replace, _asdict and
+_fields do, and a record compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ..errors import BssError, PoleError
 from ..exact import AlgebraicNumber, format_rational, sign_at
 from .core import (BLANK_READ, BUDGET_EXHAUSTED, DIVISION_BY_ZERO, FAULT,
-                   HALTED, ORACLE_UNSUPPORTED, compile_program, execute)
+                   HALTED, ORACLE_UNSUPPORTED, check_budget, compile_program,
+                   execute)
 from .oracle import Oracle, oracle_query
 from .program import Instruction, Program, VAR_ARITY, format_instruction
 
@@ -41,8 +47,7 @@ class RunResult:
             raise BssError("fault_kind is present exactly when the run faulted")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     index: int
     label: str
     instruction: Instruction
@@ -89,16 +94,18 @@ def initial_cells(program: Program, values, zero=Fraction(0)) -> dict:
 def run_concrete(program: Program, input_values, oracle: Oracle | None = None,
                  budget: int = DEFAULT_BUDGET) -> tuple[RunResult, Trace]:
     """Run to halt, fault, or budget exhaustion; always returns the trace."""
-    if budget < 1:
-        raise BssError("budget must be positive")
+    check_budget(budget, "budget", 1)
     oracle = oracle if oracle is not None else Oracle.empty()
     values = normalize_input(program, input_values)
     cells = initial_cells(program, values)
     steps: list[StepRecord] = []
+    append, rows, new = steps.append, program.instructions, tuple.__new__
 
     def record(index, pc, writes, branch, oracle_event):
-        steps.append(StepRecord(index, *program.instructions[pc], writes,
-                                branch and branch[1], oracle_event))
+        label, instruction = rows[pc]
+        # trusted constructor, like MultiPoly._of: one C-level tuple build
+        append(new(StepRecord, (index, label, instruction, writes,
+                                branch and branch[1], oracle_event)))
 
     status, _, _, count, payload = execute(
         compile_program(program), cells, ConcreteDomain(oracle), budget, record=record)

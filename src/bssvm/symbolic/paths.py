@@ -29,7 +29,7 @@ from fractions import Fraction
 from ..errors import BssError
 from ..exact import (MultiPoly, RationalFunction, UniPoly, rf_eval, sign_at)
 from ..machine.core import (BRANCH, BUDGET_EXHAUSTED, FAULT, FORK, HALTED,
-                            compile_program, execute)
+                            check_budget, compile_program, execute)
 from ..machine.oracle import GENERIC_ANSWER, Oracle, oracle_query
 from ..machine.program import VAR_ARITY, Program
 from .shadow import input_functions
@@ -159,6 +159,7 @@ def explore_paths(program: Program, arity: int | None = None,
     answer, no (one arm, assumption logged).  "split": they fork both
     ways.  Constant queries are always answered concretely by the oracle.
     """
+    check_budget(depth_budget, "depth_budget", 0)
     if oracle_policy not in ("generic", "split"):
         raise BssError(f"unknown oracle policy {oracle_policy!r}")
     if arity is None:

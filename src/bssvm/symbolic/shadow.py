@@ -17,10 +17,10 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..errors import BssError, PoleError
+from ..errors import PoleError
 from ..exact import (AlgebraicNumber, RationalFunction, algebraic_equal,
                      degree_over_q, rf_eval, sign_at)
-from ..machine.core import FAULT, HALTED, compile_program, execute
+from ..machine.core import FAULT, HALTED, check_budget, compile_program, execute
 from ..machine.interp import (DEFAULT_BUDGET, ConcreteDomain, Value,
                               initial_cells, normalize_input)
 from ..machine.oracle import GENERIC_ANSWER, Oracle
@@ -171,8 +171,7 @@ def shadow_trace(program: Program, input_values, oracle: Oracle | None = None,
     """use_generic answers nonconstant oracle queries with the generic
     answer, no (GENERIC_ANSWER), instead of querying, standing in for an input that the
     oracle's set misses entirely."""
-    if budget < 1:
-        raise BssError("budget must be positive")
+    check_budget(budget, "budget", 1)
     oracle = oracle if oracle is not None else Oracle.empty()
     values = normalize_input(program, input_values)
     nvars = len(values)

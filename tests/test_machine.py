@@ -1,5 +1,6 @@
 """Machine layer: DSL parsing, concrete execution, faults, oracles."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +10,14 @@ from bssvm.exact import nth_root_field
 from bssvm.machine import (
     BLANK_READ,
     Arith,
+    Branch,
     Const,
     Copy,
     Output,
+    OracleCall,
     Program,
     Shift,
+    StepRecord,
     BUDGET_EXHAUSTED,
     DIVISION_BY_ZERO,
     FAULT,
@@ -134,10 +138,8 @@ def test_determinism_identical_traces():
     r1, t1 = run_concrete(prog, [F(3, 10)])
     r2, t2 = run_concrete(prog, [F(3, 10)])
     assert r1 == r2
-    assert len(t1.steps) == len(t2.steps)
-    for a, b in zip(t1.steps, t2.steps):
-        assert (a.index, a.label, a.writes, a.branch_sign, a.oracle_event) == \
-            (b.index, b.label, b.writes, b.branch_sign, b.oracle_event)
+    assert type(t1.steps) is list and t1.steps == t2.steps
+    assert [hash(s) for s in t1.steps] == [hash(s) for s in t2.steps]
 
 
 def test_budget_exhaustion_and_monotonicity():
@@ -152,6 +154,63 @@ def test_budget_exhaustion_and_monotonicity():
     for budget in (baseline.steps, baseline.steps + 1, 10 ** 6):
         again, _ = run_concrete(prog, [F(2)], budget=budget)
         assert again == baseline  # halted runs are budget-independent
+
+
+@pytest.mark.parametrize("budget", [2.5, "5", None, True, 0])
+def test_run_concrete_rejects_non_int_budget(budget):
+    with pytest.raises(BssError, match="budget must be"):
+        run_concrete(stdlib_program("sgn"), [F(2)], budget=budget)
+
+
+def test_step_record_contract():
+    assert StepRecord._fields == ("index", "label", "instruction", "writes",
+                                  "branch_sign", "oracle_event")
+    assert StepRecord._field_defaults == {"branch_sign": None, "oracle_event": None}
+    _, trace = run_concrete(stdlib_program("even_zeros"), [F(3, 10)])
+    record = trace.steps[0]
+    assert type(record) is StepRecord and not hasattr(record, "__dict__")
+    assert repr(record).startswith("StepRecord(index=0, label=")
+    with pytest.raises(AttributeError):
+        record.branch_sign = 1
+    assert record == tuple(record)
+    with pytest.raises(TypeError):
+        dataclasses.replace(record, index=7)
+    assert record._replace(index=7) == (7,) + tuple(record)[1:]
+
+
+WALK_TEXT = """\
+PROGRAM walk
+ARITY 1
+ZERO 5..5
+start: CONST c1 2
+mul:   MUL c2 c0 c1
+test:  BRANCH c2 neg neg pos
+neg:   JMP neg
+pos:   ORACLE c0..c0 yes no
+yes:   SHIFTR
+div:   DIV c3 c0 c4
+no:    OUTPUT c1..c1
+"""
+
+
+def test_step_records_follow_the_program_text():
+    # writes, a branch, an oracle call, a shift and then a division by the
+    # ZERO cell: the window has moved, so DIV reads absolute cells 1 and 5
+    prog = parse_program(WALK_TEXT)
+    result, trace = run_concrete(prog, [F(3, 4)], oracle=Oracle.rationals())
+    assert (result.status, result.fault_kind, result.steps) == (FAULT, DIVISION_BY_ZERO, 6)
+    at = dict(prog.instructions)
+    assert trace.steps == [
+        (0, "start", Const(1, F(2)), ((1, F(2)),), None, None),
+        (1, "mul", Arith("MUL", 2, 0, 1), ((2, F(3, 2)),), None, None),
+        (2, "test", Branch(2, "neg", "neg", "pos"), (), 1, None),
+        (3, "pos", OracleCall(0, 0, "yes", "no"), (), None, ((F(3, 4),), True)),
+        (4, "yes", Shift("right"), (), None, None),
+        (5, "div", Arith("DIV", 3, 0, 4), (), None, None),
+    ]
+    for i, step in enumerate(trace.steps):
+        assert type(step) is StepRecord and step.index == i
+        assert step.instruction is at[step.label]
 
 
 def test_division_by_zero_fault():

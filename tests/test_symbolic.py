@@ -110,6 +110,12 @@ def test_field_boundary_degree_stays_one_on_rational_runs():
             assert report.ok and report.max_value_degree <= 1
 
 
+@pytest.mark.parametrize("budget", [2.5, "5", None, True, 0])
+def test_shadow_trace_rejects_non_int_budget(budget):
+    with pytest.raises(BssError, match="budget must be"):
+        shadow_trace(stdlib_program("sgn"), [F(2)], budget=budget)
+
+
 def test_shadow_fault_is_reported():
     prog = parse_program("PROGRAM d\nARITY 2\ns: DIV c2 c0 c1\no: OUTPUT c2..c2\n")
     trace = shadow_trace(prog, [F(1), F(0)])
@@ -375,6 +381,12 @@ def test_path_condition_satisfied_by():
     assert cond.satisfied_by((F(2),))
     assert not cond.satisfied_by((F(-2),))
     assert not cond.satisfied_by((F(0),))
+
+
+@pytest.mark.parametrize("depth_budget", [2.5, "3", None, False, -1])
+def test_explore_paths_rejects_non_int_depth_budget(depth_budget):
+    with pytest.raises(BssError, match="depth_budget must be"):
+        explore_paths(stdlib_program("sgn"), depth_budget=depth_budget)
 
 
 def test_explore_paths_depth_budget_marks_leaves():
