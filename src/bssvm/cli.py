@@ -18,7 +18,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterable
 
 from .errors import BssError, CertificateError
 from .exact import (AlgebraicNumber, NumberField, RatInterval, UniPoly, parse_rational,
@@ -112,18 +113,22 @@ def parse_input_tuple(text: str, fields: dict[str, NumberField]) -> tuple:
             coords_text = coords_text.strip()
             if not (coords_text.startswith("(") and coords_text.endswith(")")):
                 raise UsageError(f"field element needs coordinates, got {item!r}")
-            coords = [parse_rational(c) for c in coords_text[1:-1].split(",")]
+            coords = [_usage_rational(c) for c in coords_text[1:-1].split(",")]
             if len(coords) > field.degree:
                 raise UsageError(f"{name!r} elements take at most "
                                  f"{field.degree} coordinates")
             coords += [Fraction(0)] * (field.degree - len(coords))
             values.append(AlgebraicNumber(field, tuple(coords)))
         else:
-            try:
-                values.append(parse_rational(item))
-            except BssError as exc:
-                raise UsageError(str(exc)) from None
+            values.append(_usage_rational(item))
     return tuple(values)
+
+
+def _usage_rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except BssError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def parse_oracle_spec(text: str) -> Oracle:
@@ -143,7 +148,7 @@ def parse_oracle_spec(text: str) -> Oracle:
     if s.startswith("finite:"):
         path = s[len("finite:"):]
         try:
-            lines = [ln.strip() for ln in open(path, encoding="utf-8")]
+            lines = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines()]
         except OSError as exc:
             raise UsageError(f"cannot read finite oracle file: {exc}") from None
         tuples = [parse_input_tuple(ln, {}) for ln in lines if ln]
@@ -174,7 +179,7 @@ def load_program(args) -> Program:
         return stdlib_program(args.stdlib)
     if args.program is not None:
         try:
-            text = open(args.program, encoding="utf-8").read()
+            text = Path(args.program).read_text(encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot read program: {exc}") from None
         return parse_program(text)
@@ -205,21 +210,19 @@ def run_setup(args) -> tuple[Program, Oracle, tuple]:
     return program, oracle, values
 
 
-def emit(args, build_json: Callable[[], dict], text: str) -> None:
-    """Print the text form, or under --format json the object build_json()
-    returns; text mode never builds the JSON form."""
+def emit(args, build_json: Callable[[], dict], build_text: Callable[[], Iterable[str]]):
+    """Print the lines build_text() returns, or under --format json the
+    object build_json() returns; only the printed form is built."""
     if args.format == "json":
         print(json.dumps(build_json(), indent=2))
     else:
+        text = "\n".join(build_text())
         print(text, end="" if text.endswith("\n") else "\n")
 
 
 def fail_record(args, kind: str, detail: str) -> int:
-    record = {"kind": "failure", "analysis": kind, "detail": detail}
-    if args.format == "json":
-        print(json.dumps(record, indent=2))
-    else:
-        print(f"FALSIFIED [{kind}]: {detail}")
+    emit(args, lambda: {"kind": "failure", "analysis": kind, "detail": detail},
+         lambda: [f"FALSIFIED [{kind}]: {detail}"])
     return 1
 
 
@@ -229,16 +232,16 @@ def fail_record(args, kind: str, detail: str) -> int:
 def cmd_run(args) -> int:
     program, oracle, values = run_setup(args)
     result, trace = run_concrete(program, values, oracle=oracle, budget=args.budget)
-    lines = []
-    if args.trace:
-        lines.append(trace_to_text(trace))
-    lines.append(f"status: {result.status}"
-                 + (f" ({result.fault_kind})" if result.fault_kind else ""))
-    lines.append(f"steps: {result.steps}")
-    if result.output is not None:
-        rendered = ", ".join(_render_value(v) for v in result.output)
-        lines.append(f"output: ({rendered})")
-    emit(args, lambda: trace_to_json(trace), "\n".join(lines))
+
+    def lines():
+        if args.trace:
+            yield trace_to_text(trace)
+        yield (f"status: {result.status}"
+               + (f" ({result.fault_kind})" if result.fault_kind else ""))
+        yield f"steps: {result.steps}"
+        if result.output is not None:
+            yield f"output: ({', '.join(_render_value(v) for v in result.output)})"
+    emit(args, lambda: trace_to_json(trace), lines)
     return 0
 
 
@@ -250,44 +253,40 @@ def _render_value(v) -> str:
 
 
 def _six_digits(v: AlgebraicNumber) -> str:
-    """v to 6 significant digits: the enclosure is narrowed until both of its
-    ends print the same.  Past the width the JSON form uses, the narrowing
-    runs on a copy of the field, so that building the text form changes no
-    enclosure the JSON form prints.  A value exactly on a rounding boundary
-    never gets there; once the ends are adjacent doubles, the midpoint is
-    printed."""
+    """v to 6 significant digits: the enclosure, from the JSON form's width
+    down, is narrowed until both ends print the same; once they are adjacent
+    doubles (a value exactly on a rounding boundary), the midpoint is printed."""
     width = _ENCLOSURE_WIDTH
-    enc = v.enclosure(width)
-    own = AlgebraicNumber(NumberField(v.field.min_poly, v.field.enclosure()), v.coords)
     while True:
+        enc = v.enclosure(width)
         lo, hi = float(enc.lo), float(enc.hi)
         if f"{lo:.6g}" == f"{hi:.6g}" or math.nextafter(lo, hi) == hi:
-            return f"{float((enc.lo + enc.hi) / 2):.6g}"
+            return f"{float(enc.midpoint()):.6g}"
         width *= width
-        enc = own.enclosure(width)
 
 
 def cmd_shadow(args) -> int:
     program, oracle, values = run_setup(args)
     trace = shadow_trace(program, values, oracle=oracle, budget=args.budget)
     report = field_boundary_check(trace)
-    lines = [f"outcome: {trace.outcome}"
-             + (f" ({trace.fault_kind})" if trace.fault_kind else ""),
-             f"steps: {trace.steps_executed}"]
-    if trace.output_functions is not None:
-        for f, v in zip(trace.output_functions, trace.output_values):
-            lines.append(f"output: {f} = {_render_value(v)}")
-    for e in trace.branch_log:
-        lines.append(f"branch: sign({e.function}) = {e.sign} at step {e.step}")
-    for e in trace.oracle_log:
-        fns = ", ".join(str(f) for f in e.functions)
-        lines.append(f"oracle: ({fns}) -> {e.answer}")
-    lines.append(f"field boundary: {'ok' if report.ok else 'FAILED'}, "
-                 f"{report.cells_checked} cells, "
-                 f"max value degree {report.max_value_degree}")
-    for msg in report.failures:
-        lines.append(f"  failure: {msg}")
-    emit(args, lambda: shadow_to_json(trace, report), "\n".join(lines))
+
+    def lines():
+        yield (f"outcome: {trace.outcome}"
+               + (f" ({trace.fault_kind})" if trace.fault_kind else ""))
+        yield f"steps: {trace.steps_executed}"
+        if trace.output_functions is not None:
+            for f, v in zip(trace.output_functions, trace.output_values):
+                yield f"output: {f} = {_render_value(v)}"
+        for e in trace.branch_log:
+            yield f"branch: sign({e.function}) = {e.sign} at step {e.step}"
+        for e in trace.oracle_log:
+            yield f"oracle: ({', '.join(str(f) for f in e.functions)}) -> {e.answer}"
+        yield (f"field boundary: {'ok' if report.ok else 'FAILED'}, "
+               f"{report.cells_checked} cells, "
+               f"max value degree {report.max_value_degree}")
+        for msg in report.failures:
+            yield f"  failure: {msg}"
+    emit(args, lambda: shadow_to_json(trace, report), lines)
     return 0 if report.ok else 1
 
 
@@ -296,21 +295,24 @@ def cmd_paths(args) -> int:
     oracle = parse_oracle_spec(args.oracle)
     tree = explore_paths(program, depth_budget=args.depth,
                          oracle_policy=args.oracle_policy, oracle=oracle)
-    lines = [f"program: {program.name}", f"leaves: {len(tree.leaves)}"]
-    for leaf in tree.leaves:
-        conds = ", ".join(f"sign({f}) = {s}" for f, s in leaf.condition.constraints)
-        extra = ""
-        if leaf.condition.oracle_assumptions:
-            asm = "; ".join(f"oracle({', '.join(map(str, fns))}) = {ans}"
-                            for fns, ans in leaf.condition.oracle_assumptions)
-            extra = f" assuming {asm}"
-        outs = ("" if leaf.outputs is None
-                else " output (" + ", ".join(str(f) for f in leaf.outputs) + ")")
-        mz = " [measure-zero]" if leaf.measure_zero else ""
-        fk = f" ({leaf.fault_kind})" if leaf.fault_kind else ""
-        lines.append(f"  [{' '.join(leaf.history) or 'root'}] {leaf.outcome}{fk}:"
-                     f" {conds or 'no constraints'}{extra}{outs}{mz}")
-    emit(args, lambda: tree_to_json(tree), "\n".join(lines))
+
+    def lines():
+        yield f"program: {program.name}"
+        yield f"leaves: {len(tree.leaves)}"
+        for leaf in tree.leaves:
+            conds = ", ".join(f"sign({f}) = {s}" for f, s in leaf.condition.constraints)
+            extra = ""
+            if leaf.condition.oracle_assumptions:
+                asm = "; ".join(f"oracle({', '.join(map(str, fns))}) = {ans}"
+                                for fns, ans in leaf.condition.oracle_assumptions)
+                extra = f" assuming {asm}"
+            outs = ("" if leaf.outputs is None
+                    else " output (" + ", ".join(str(f) for f in leaf.outputs) + ")")
+            mz = " [measure-zero]" if leaf.measure_zero else ""
+            fk = f" ({leaf.fault_kind})" if leaf.fault_kind else ""
+            yield (f"  [{' '.join(leaf.history) or 'root'}] {leaf.outcome}{fk}:"
+                   f" {conds or 'no constraints'}{extra}{outs}{mz}")
+    emit(args, lambda: tree_to_json(tree), lines)
     return 0
 
 
@@ -327,18 +329,19 @@ def cmd_certify(args) -> int:
         return fail_record(args, "certify", str(exc))
     report = verify_neighborhood(program, oracle, trace, cert,
                                  samples=args.samples, seed=args.seed)
-    lines = [f"epsilon = {format_rational(cert.epsilon)}",
-             f"functions: {len(cert.functions)}"]
-    for f, (num_enc, den_enc) in zip(cert.functions, cert.enclosures):
-        lines.append(f"  {f}: num in [{format_rational(num_enc.lo)}, "
-                     f"{format_rational(num_enc.hi)}], den in "
-                     f"[{format_rational(den_enc.lo)}, {format_rational(den_enc.hi)}]")
-    lines.append(f"samples: {report.passed}/{len(report.samples)} pass")
-    if not report.ok:
+
+    def lines():
+        yield f"epsilon = {format_rational(cert.epsilon)}"
+        yield f"functions: {len(cert.functions)}"
+        for f, (num_enc, den_enc) in zip(cert.functions, cert.enclosures):
+            yield (f"  {f}: num in [{format_rational(num_enc.lo)}, "
+                   f"{format_rational(num_enc.hi)}], den in "
+                   f"[{format_rational(den_enc.lo)}, {format_rational(den_enc.hi)}]")
+        yield f"samples: {report.passed}/{len(report.samples)} pass"
         for s in report.samples:
             if not s.ok:
-                lines.append(f"  MISMATCH at ({', '.join(map(str, s.point))}): {s.detail}")
-    emit(args, lambda: certificate_to_json(cert, report), "\n".join(lines))
+                yield f"  MISMATCH at ({', '.join(map(str, s.point))}): {s.detail}"
+    emit(args, lambda: certificate_to_json(cert, report), lines)
     return 0 if report.ok else 1
 
 
@@ -352,18 +355,20 @@ def cmd_witness(args) -> int:
         report = build_counterexample(program, oracle, x1, probe, budget=args.budget)
     except BssError as exc:
         return fail_record(args, "witness", str(exc))
-    lines = [f"verdict: {report.verdict}"]
-    if report.n is not None:
-        lines.append(f"n = {report.n}, m = {report.m}")
-    if report.b is not None:
-        lines.append(f"b = {format_rational(report.b)}, x2 = {_render_value(report.x2)}")
-    if report.path_equal is not None:
-        lines.append(f"path_equal: {report.path_equal}")
-        lines.append(f"machine output: {report.machine_output}, "
-                     f"ground truth: {report.ground_truth}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    emit(args, lambda: witness_to_json(report), "\n".join(lines))
+
+    def lines():
+        yield f"verdict: {report.verdict}"
+        if report.n is not None:
+            yield f"n = {report.n}, m = {report.m}"
+        if report.b is not None:
+            yield f"b = {format_rational(report.b)}, x2 = {_render_value(report.x2)}"
+        if report.path_equal is not None:
+            yield f"path_equal: {report.path_equal}"
+            yield (f"machine output: {report.machine_output}, "
+                   f"ground truth: {report.ground_truth}")
+        for note in report.notes:
+            yield f"note: {note}"
+    emit(args, lambda: witness_to_json(report), lines)
     return 0
 
 
@@ -371,33 +376,26 @@ def cmd_cantor(args) -> int:
     if (args.decompose is None) == (args.member is None):
         raise UsageError("cantor takes exactly one of --decompose or --member")
     if args.member is not None:
-        x = _cantor_arg(args.member)
+        x = _usage_rational(args.member)
         is_member = cantor_membership(x)
         emit(args, lambda: {"kind": "cantor_membership", "input": format_rational(x),
                             "member": is_member},
-             f"{format_rational(x)} ({ternary_string(x)}) is "
-             f"{'a member' if is_member else 'not a member'} of the middle-thirds set")
+             lambda: [f"{format_rational(x)} ({ternary_string(x)}) is "
+                      f"{'a member' if is_member else 'not a member'} "
+                      "of the middle-thirds set"])
         return 0
-    x = _cantor_arg(args.decompose)
+    x = _usage_rational(args.decompose)
     if not 0 <= x <= 1:
         raise UsageError(f"decomposition needs x in [0, 1], got {format_rational(x)}")
     pair = cantor_decompose(x)
     exact = pair.c1 + pair.c2 / 2 == x
-    text = "\n".join([
+    emit(args, lambda: cantor_to_json(x, pair), lambda: [
         f"x  = {format_rational(x)} ({ternary_string(x)})",
         f"c1 = {format_rational(pair.c1)} ({ternary_string(pair.c1)})",
         f"c2 = {format_rational(pair.c2)} ({ternary_string(pair.c2)})",
         f"check: c1 + c2/2 = x {'exactly' if exact else 'FAILED'}",
     ])
-    emit(args, lambda: cantor_to_json(x, pair), text)
     return 0 if exact else 1
-
-
-def _cantor_arg(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except BssError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def cmd_stdlib(args) -> int:
@@ -408,8 +406,8 @@ def cmd_stdlib(args) -> int:
         return 0
     entries = [{"name": name, "arity": stdlib_program(name).arity}
                for name in stdlib_names()]
-    text = "\n".join(f"{e['name']} (arity {e['arity']})" for e in entries)
-    emit(args, lambda: {"kind": "stdlib", "entries": entries}, text)
+    emit(args, lambda: {"kind": "stdlib", "entries": entries},
+         lambda: (f"{e['name']} (arity {e['arity']})" for e in entries))
     return 0
 
 

@@ -11,10 +11,16 @@ to be squarefree, so a nonzero coordinate vector may still vanish at the
 distinguished root; when the first evaluation leaves the sign open, a Sturm
 count of gcd(element, field polynomial) on the box recognises that case, so
 refinement always terminates.
+
+A field's refinement cache, the schedule of boxes that quadratic interval
+refinement builds from the isolating interval, is a function of the field's
+identity (polynomial and interval); a printed enclosure is a function of the
+value and the width, whatever was compared before.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from ..errors import BssError, FieldMismatchError, PoleError
@@ -26,7 +32,7 @@ from .interval import RatInterval, eval_unipoly_interval
 class NumberField:
     """Q(alpha) for a distinguished real root alpha of a monic polynomial."""
 
-    __slots__ = ("min_poly", "interval", "_box", "_grid", "_chain")
+    __slots__ = ("min_poly", "interval", "_boxes", "_grid", "_chain")
 
     def __init__(self, min_poly: UniPoly, interval: RatInterval):
         if min_poly.degree < 1:
@@ -45,7 +51,7 @@ class NumberField:
                 raise BssError("interval does not isolate exactly one root")
         self.min_poly = min_poly
         self.interval = interval          # as constructed; never mutated
-        self._box = interval              # refinement cache, only shrinks
+        self._boxes = [interval]          # refinement schedule, only grows
         self._grid = 4                    # grid size of the next refinement step
         self._chain = None
 
@@ -58,21 +64,17 @@ class NumberField:
             self._chain = sturm_chain(self.min_poly)
         return self._chain
 
-    def enclosure(self) -> RatInterval:
-        return self._box
-
     def refine(self) -> RatInterval:
-        """One quadratic interval refinement step on the generator's enclosure.
-
-        A step that succeeds narrows the box by the current grid size and
-        squares it; one that fails bisects.  The box becomes a point when a
-        grid point is the root itself.
-        """
-        if self._box.lo != self._box.hi:
-            (lo, hi), self._grid = qir_step(self.min_poly, self._box.lo,
-                                            self._box.hi, self._grid)
-            self._box = RatInterval(lo, hi)
-        return self._box
+        """Append the next box of the schedule, one quadratic interval
+        refinement step on the last, and return it.  A step that succeeds
+        narrows the box by the grid size and squares it; one that fails
+        bisects.  A grid point that is the root ends the schedule."""
+        box = self._boxes[-1]
+        if box.lo != box.hi:
+            (lo, hi), self._grid = qir_step(self.min_poly, box.lo, box.hi, self._grid)
+            box = RatInterval(lo, hi)
+            self._boxes.append(box)
+        return box
 
     def generator(self) -> AlgebraicNumber:
         if self.degree == 1:
@@ -225,7 +227,7 @@ class AlgebraicNumber:
             c = self.coords[0]
             return 0 if c == 0 else (1 if c > 0 else -1)
         fld = self.field
-        box = fld.enclosure()
+        box = fld._boxes[-1]
         s = eval_unipoly_interval(self.coords, box).sign()
         if s is None:
             # A reducible field polynomial lets a nonzero coordinate vector
@@ -236,8 +238,7 @@ class AlgebraicNumber:
             if g.degree > 0 and count_roots_open(g, box.lo, box.hi) > 0:
                 return 0
         while s is None:
-            fld.refine()
-            s = eval_unipoly_interval(self.coords, fld.enclosure()).sign()
+            s = eval_unipoly_interval(self.coords, fld.refine()).sign()
         return s
 
     def __eq__(self, other) -> bool:
@@ -269,14 +270,20 @@ class AlgebraicNumber:
         return (a - b).sign() >= 0
 
     def enclosure(self, max_width: Fraction | None = None) -> RatInterval:
-        """Rational interval containing this number, optionally narrowed."""
+        """Evaluation over the isolating interval, or over the first schedule
+        box at most max_width / L wide, where L = sum k |c_k| M^(k-1) bounds
+        the evaluation's width per unit box width on boxes inside [-M, M]."""
         if self.is_rational():
             return RatInterval.point(self.coords[0])
-        box = eval_unipoly_interval(self.coords, self.field.enclosure())
-        while max_width is not None and box.width() > max_width:
-            self.field.refine()
-            box = eval_unipoly_interval(self.coords, self.field.enclosure())
-        return box
+        fld, box = self.field, self.field.interval
+        if max_width is not None:
+            m = max(abs(box.lo), abs(box.hi))
+            lip = sum(k * abs(c) * m ** (k - 1) for k, c in enumerate(self.coords) if k)
+            narrow = lambda b: b.width() * lip <= max_width
+            while not narrow(fld._boxes[-1]):
+                fld.refine()
+            box = fld._boxes[bisect_left(fld._boxes, True, key=narrow)]
+        return eval_unipoly_interval(self.coords, box)
 
     def __repr__(self) -> str:
         return f"AlgebraicNumber({UniPoly(self.coords)})"

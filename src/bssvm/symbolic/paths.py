@@ -227,8 +227,9 @@ def boundary_report(tree: PathTree) -> set[MultiPoly]:
     every constraint function pinned to sign 0 somewhere, plus every
     function on which two leaves with different outputs take different
     signs.  Requires a fully halted 0/1-output tree."""
-    # each decided leaf carries its function -> sign index for the pair loop
-    decided: list[tuple[PathLeaf, Fraction, dict]] = []
+    # per function, the signs it takes under output 0 and under output 1
+    seen: dict[RationalFunction, tuple[set, set]] = {}
+    polys: set[MultiPoly] = set()
     for l in tree.leaves:
         if l.outcome != "halted":
             raise BssError(f"leaf {l.history} did not halt; boundary undefined")
@@ -237,19 +238,12 @@ def boundary_report(tree: PathTree) -> set[MultiPoly]:
         value = l.outputs[0].constant_value()
         if value not in (Fraction(0), Fraction(1)):
             raise BssError(f"leaf {l.history} outputs {value}, not 0/1")
-        decided.append((l, value, dict(l.condition.constraints)))
-
-    polys: set[MultiPoly] = set()
-    for l, _, _ in decided:
         for f, s in l.condition.constraints:
             if s == 0:
                 polys.add(f.num)
-    for i, (la, va, _) in enumerate(decided):
-        for _, vb, signs_b in decided[i + 1:]:
-            if va == vb:
-                continue
-            for f, sa in la.condition.constraints:
-                sb = signs_b.get(f)
-                if sb is not None and sb != sa:
-                    polys.add(f.num)
+            seen.setdefault(f, (set(), set()))[value == 1].add(s)
+    # a pair of leaves with different outputs differs on f's sign unless
+    # both outputs saw f at one and the same sign
+    polys.update(f.num for f, (zero, one) in seen.items()
+                 if zero and one and not (zero == one and len(zero) == 1))
     return polys

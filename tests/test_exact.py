@@ -390,7 +390,7 @@ def test_qir_step_failure_bisects_and_shrinks_grid():
 ])
 def test_refine_keeps_exactly_one_root_in_box(poly, lo, hi):
     field = NumberField(UniPoly.parse(poly), RatInterval(lo, hi))
-    prev = field.enclosure()
+    prev = field.interval
     for _ in range(10):
         box = field.refine()
         assert prev.lo <= box.lo <= box.hi <= prev.hi

@@ -13,7 +13,7 @@ import pytest
 import bssvm
 from bssvm import cli
 from bssvm.cli import main
-from bssvm.exact import nth_root_field
+from bssvm.exact import AlgebraicNumber, NumberField, RatInterval, UniPoly, nth_root_field
 from bssvm.machine import run_concrete
 from bssvm.serialize import SCHEMAS, trace_to_json, value_to_json
 from bssvm.stdlib import stdlib_names, stdlib_program
@@ -50,6 +50,20 @@ def test_value_to_json_algebraic():
 def test_value_to_json_rational_valued_field_element():
     field, _ = nth_root_field(2, 2)
     assert value_to_json(field.from_rational(F(7, 2))) == "7/2"
+
+
+def test_value_to_json_ignores_earlier_comparisons():
+    # The plastic number is 1.32471795724474602596...; deciding the sign of
+    # b - 1.32471795724474602596 refines the field far past the JSON width.
+    poly, box = UniPoly.parse("X^3 - X - 1"), RatInterval(1, 2)
+    field = NumberField(poly, box)
+    b = field.generator()
+    v = AlgebraicNumber(field, (F(2, 3), F(-1), F(5)))
+    before = value_to_json(v)
+    assert (b - F(132471795724474602596, 10 ** 20)).sign() == 1
+    (b * b).enclosure(F(1, 10 ** 40))
+    assert value_to_json(v) == before
+    assert value_to_json(AlgebraicNumber(NumberField(poly, box), v.coords)) == before
 
 
 # -- run ----------------------------------------------------------------------
@@ -105,17 +119,25 @@ def test_run_renders_field_values(capsys, field, value, rendered):
                            "--field", field, "--input", value)
     assert code == 0
     assert f"output: ({rendered})" in out.splitlines()
-    # The JSON form still builds the text lines first, and they narrow each
-    # output to the JSON width; narrowing further for the digits must leave
-    # every enclosure the JSON form prints as it was.
     code, doc, _ = run_json(capsys, "run", "--stdlib", "inv_shift",
                             "--field", field, "--input", value)
     name, fld = cli.parse_field_registration(field)
     result, trace = run_concrete(stdlib_program("inv_shift"),
                                  cli.parse_input_tuple(value, {name: fld}))
-    for v in result.output:
-        value_to_json(v)
     assert code == 0 and doc == json.loads(json.dumps(trace_to_json(trace)))
+
+
+def test_run_json_output_is_value_to_json_of_the_run(capsys):
+    field, value = "b=X^3 - X - 1;1;2", "(b:(2/3,-1,5))"
+    name, fld = cli.parse_field_registration(field)
+    result, _ = run_concrete(stdlib_program("inv_shift"),
+                             cli.parse_input_tuple(value, {name: fld}))
+    code, doc, _ = run_json(capsys, "run", "--stdlib", "inv_shift",
+                            "--field", field, "--input", value)
+    assert code == 0
+    assert doc["output"] == [value_to_json(v) for v in result.output]
+    assert doc["output"][0]["enclosure"] == ["139582033077/993479622656",
+                                             "2181548757/15523119104"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -359,6 +381,9 @@ def test_usage_error_exit_codes(capsys):
     assert run_cli(capsys, "witness", "--stdlib", "oracle_member",
                    "--input", "(5)")[0] == 2
     assert run_cli(capsys, "paths", "--stdlib", "sgn", "--depth", "0")[0] == 0
+    for literal in ("(a:(x,1))", "(a:())"):  # malformed field-element coordinates
+        assert run_cli(capsys, "run", "--stdlib", "sgn", "--field", "a=X^2 - 2;1;2",
+                       "--input", literal)[0] == 2
 
 
 def test_usage_errors_go_to_stderr(capsys):
@@ -384,6 +409,21 @@ def test_text_output_builds_no_json(capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, f"{kind}_to_json", refuse)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--stdlib", "inv_shift", "--field", "a=X^2 - 2;1;2", "--input", "(a:(0,1))"),
+    ("shadow", "--stdlib", "inv_shift", "--field", "a=X^2 - 2;1;2", "--input", "(a:(0,1))"),
+    ("witness", "--stdlib", "oracle_member", "--oracle", "rationals",
+     "--input", "(5, 7)"),
+])
+def test_json_output_builds_no_text(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("text form built in JSON mode")
+    monkeypatch.setattr(cli, "_render_value", refuse)
+    code, doc, _ = run_json(capsys, *argv)
+    values = doc.get("output") or doc.get("output_values") or [doc["x2"]]
+    assert code == 0 and any(isinstance(v, dict) and "enclosure" in v for v in values)
 
 
 def test_schemas_are_valid_drafts():

@@ -17,7 +17,7 @@ from bssvm.exact import (
 )
 from bssvm.machine import (Arith, Branch, Const, Oracle, OracleCall, parse_program,
                            run_concrete)
-from bssvm.stdlib import stdlib_program
+from bssvm.stdlib import stdlib_names, stdlib_program
 from bssvm.symbolic import (
     PathCondition,
     as_unipoly,
@@ -447,8 +447,81 @@ def test_boundary_report_pairs_leaves_without_a_zero_arm():
     # two remaining leaves differ on its sign and on their output
     tree = explore_paths(stdlib_program("sgn_decider"), depth_budget=10)
     open_arms = tuple(l for l in tree.leaves if not l.measure_zero)
-    polys = boundary_report(dataclasses.replace(tree, leaves=open_arms))
+    pruned = dataclasses.replace(tree, leaves=open_arms)
+    polys = boundary_report(pruned)
     assert {str(p) for p in polys} == {"Y1"}
+    assert polys == boundary_pairs(pruned)
+
+
+def boundary_pairs(tree):
+    """boundary_report by its definition: the sign-0 constraints, plus every
+    function on which a pair of leaves with different outputs differs."""
+    polys = {f.num for l in tree.leaves for f, s in l.condition.constraints if s == 0}
+    for i, la in enumerate(tree.leaves):
+        for lb in tree.leaves[i + 1:]:
+            if la.outputs == lb.outputs:
+                continue
+            signs_b = dict(lb.condition.constraints)
+            for f, sa in la.condition.constraints:
+                sb = signs_b.get(f)
+                if sb is not None and sb != sa:
+                    polys.add(f.num)
+    return polys
+
+
+def test_boundary_report_matches_the_pair_definition():
+    accepted = 0
+    for name in stdlib_names():
+        program = stdlib_program(name)
+        if program.arity != 1:
+            continue
+        for depth in range(9):
+            tree = explore_paths(program, depth_budget=depth)
+            try:
+                polys = boundary_report(tree)
+            except BssError:
+                continue
+            accepted += 1
+            assert polys == boundary_pairs(tree), (name, depth)
+            open_arms = tuple(l for l in tree.leaves if not l.measure_zero)
+            pruned = dataclasses.replace(tree, leaves=open_arms)
+            assert boundary_report(pruned) == boundary_pairs(pruned), (name, depth)
+    assert accepted >= 10
+
+
+BANDS = """\
+PROGRAM bands
+ARITY 1
+ZERO 4..4
+a:     CONST c1 10
+b:     ADD c1 c0 c1
+c:     BRANCH c1 no no mid
+mid:   BRANCH c0 left no right
+left:  CONST c2 1
+d:     ADD c2 c0 c2
+e:     BRANCH c2 no no yes
+right: CONST c3 1
+f:     SUB c3 c0 c3
+g:     BRANCH c3 yes no no
+yes:   CONST c4 1
+no:    OUTPUT c4..c4
+"""
+
+
+def test_boundary_report_reads_signs_per_output():
+    # Without the sign-0 leaves, Y1 takes both signs under both outputs (on
+    # the boundary); without the Y1 + 10 < 0 leaf too, Y1 + 10 is positive
+    # under both outputs (off it).
+    tree = explore_paths(parse_program(BANDS))
+    open_arms = [l for l in tree.leaves if not l.measure_zero]
+    inner = [l for l in open_arms if l.history[0] == "+1"]
+    for leaves, want in [(tree.leaves, {"Y1 + 10", "Y1", "Y1 + 1", "Y1 - 1"}),
+                         (open_arms, {"Y1 + 10", "Y1", "Y1 + 1", "Y1 - 1"}),
+                         (inner, {"Y1", "Y1 + 1", "Y1 - 1"})]:
+        part = dataclasses.replace(tree, leaves=tuple(leaves))
+        polys = boundary_report(part)
+        assert {str(p) for p in polys} == want
+        assert polys == boundary_pairs(part)
 
 
 def test_boundary_report_rejects_non_indicator_outputs():
