@@ -1,4 +1,5 @@
-"""Exact arithmetic layer: rationals, polynomials, real algebraic numbers."""
+"""Exact arithmetic layer: rationals, polynomials over Q, real algebraic
+numbers."""
 
 from .rational import parse_rational, format_rational
 from .unipoly import UniPoly, poly_ext_gcd, unipoly_from_roots

@@ -93,13 +93,9 @@ class RatInterval:
 
 
 def eval_unipoly_interval(coeffs, box: RatInterval) -> RatInterval:
-    """Enclosure of a univariate polynomial over a box, term by term.
-
-    coeffs may be Fractions or RatIntervals (ascending order); interval
-    coefficients let callers pass enclosures of algebraic coefficients.
-    """
+    """Enclosure over a box of the polynomial whose rational coefficients
+    are coeffs (ascending order), term by term."""
     acc = RatInterval.point(0)
     for k, c in enumerate(coeffs):
-        ci = c if isinstance(c, RatInterval) else RatInterval.point(c)
-        acc = acc + ci * box.pow(k)
+        acc = acc + RatInterval.point(c) * box.pow(k)
     return acc

@@ -1,20 +1,23 @@
-"""Multivariate polynomials and rational functions with exact coefficients.
+"""Multivariate polynomials and rational functions over Q.
 
-Terms map exponent tuples to coefficients (Fraction, or AlgebraicNumber when
-a computation leaves Q); zero coefficients are never stored.  The monomial
-order everywhere is graded lexicographic.  Rational functions are kept
-canonical: numerator and denominator coprime, denominator with leading
-coefficient 1, and the zero function stored as 0/1, so structural equality
-decides semantic equality.
+Terms map exponent tuples to coefficients, and every coefficient is a
+nonzero Fraction.  Program constants are rational and inputs are
+variables, so every function a machine computes is over Q; algebraic
+numbers appear only as values, the points at which eval and rf_eval
+evaluate.  The monomial order everywhere is graded lexicographic.
+Rational functions are kept canonical: numerator and denominator coprime,
+denominator with leading coefficient 1, and the zero function stored as
+0/1, so structural equality decides semantic equality.
 
 MultiPoly(...) and RationalFunction(...) validate and canonicalise their
-arguments.  Arithmetic whose result is already clean skips that work:
+arguments: a coefficient is an int or a Fraction, and anything else raises
+BssError.  Arithmetic whose result is already clean skips that work:
 MultiPoly._of(nvars, terms) takes a dict whose exponent tuples all have
-length nvars and whose coefficients are nonzero Fractions or
-AlgebraicNumbers, and keeps it without a copy, so the dict must be fresh
-and never mutated afterwards.  RationalFunction._of(num, den) takes a pair
-that is already canonical; the polynomial, constant and negation fast
-paths build their results with it and call no gcd.
+length nvars and whose coefficients are nonzero Fractions, and keeps it
+without a copy, so the dict must be fresh and never mutated afterwards.
+RationalFunction._of(num, den) takes a pair that is already canonical; the
+polynomial, constant and negation fast paths build their results with it
+and call no gcd.
 
 Both types are immutable: no code changes terms, num or den after
 construction.  That lets each cache its hash in a slot the first time it is
@@ -23,7 +26,7 @@ hashed once.
 
 The gcd is a primitive pseudo-remainder sequence in the highest occurring
 variable, recursing on contents; with a single variable it degenerates to
-the monic Euclidean algorithm over the coefficient field.
+the monic Euclidean algorithm over Q.
 """
 
 from __future__ import annotations
@@ -34,11 +37,18 @@ from fractions import Fraction
 from ..errors import BssError, PoleError
 from .rational import format_rational
 from .interval import RatInterval
-from .numberfield import AlgebraicNumber
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
+
+
+def _coefficient(c) -> Fraction:
+    if type(c) is Fraction:
+        return c
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c)
+    raise BssError(f"polynomial coefficient {c!r} is not an int or a Fraction")
 
 
 class MultiPoly:
@@ -53,11 +63,9 @@ class MultiPoly:
             e = tuple(int(x) for x in e)
             if len(e) != nvars or any(x < 0 for x in e):
                 raise BssError(f"bad exponent tuple {e} for {nvars} variables")
-            if not isinstance(c, AlgebraicNumber):
-                c = Fraction(c)
-            if c == 0:
-                continue
-            clean[e] = c
+            c = _coefficient(c)
+            if c:
+                clean[e] = c
         self.nvars = nvars
         self.terms = clean
 
@@ -114,7 +122,7 @@ class MultiPoly:
             out.update(i for i, x in enumerate(e) if x > 0)
         return out
 
-    def leading_term(self) -> tuple[tuple[int, ...], object]:
+    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         if self.is_zero():
             raise BssError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex_key)
@@ -125,9 +133,6 @@ class MultiPoly:
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
-        # An AlgebraicNumber coefficient hashes through its field's min_poly,
-        # so narrowing a field in place would leave this cache stale: a
-        # narrowed field has to be a new NumberField.
         try:
             return self._hash
         except AttributeError:
@@ -169,8 +174,7 @@ class MultiPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                # a product of nonzero coefficients can vanish in a field
-                # whose polynomial is reducible
+                # products summed into one exponent can cancel
                 v = out.get(e, 0) + ca * cb
                 if v == 0:
                     out.pop(e, None)
@@ -179,16 +183,10 @@ class MultiPoly:
         return MultiPoly._of(self.nvars, out)
 
     def scale(self, c) -> MultiPoly:
-        if not isinstance(c, AlgebraicNumber):
-            c = Fraction(c)
-        if c == 0:
+        c = _coefficient(c)
+        if not c:
             return MultiPoly._of(self.nvars, {})
-        out = {}
-        for e, v in self.terms.items():
-            v = v * c
-            if v != 0:
-                out[e] = v
-        return MultiPoly._of(self.nvars, out)
+        return MultiPoly._of(self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> MultiPoly:
         if n < 0:
@@ -199,7 +197,7 @@ class MultiPoly:
         return acc
 
     def eval(self, values):
-        """Evaluate at a point; entries may be Fraction or AlgebraicNumber."""
+        """Evaluate at a point of rational or algebraic numbers."""
         if len(values) != self.nvars:
             raise BssError("wrong number of values")
         acc = None
@@ -225,9 +223,8 @@ class MultiPoly:
                     factors.append(f"Y{i + 1}")
                 elif k > 1:
                     factors.append(f"Y{i + 1}^{k}")
-            negative = isinstance(c, Fraction) and c < 0
-            mag = -c if negative else c
-            cstr = format_rational(mag) if isinstance(mag, Fraction) else str(mag)
+            negative = c < 0
+            cstr = format_rational(-c if negative else c)
             if factors and cstr == "1":
                 body = "*".join(factors)
             else:
@@ -252,10 +249,7 @@ def _monic(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     _, lc = p.leading_term()
-    if isinstance(lc, Fraction) and lc == 1:
-        return p
-    inv = lc.inverse() if isinstance(lc, AlgebraicNumber) else 1 / lc
-    return p.scale(inv)
+    return p if lc == 1 else p.scale(1 / lc)
 
 
 def _exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -263,7 +257,7 @@ def _exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if b.is_zero():
         raise PoleError("polynomial division by zero")
     eb, cb = b.leading_term()
-    inv = cb.inverse() if isinstance(cb, AlgebraicNumber) else 1 / cb
+    inv = 1 / cb
     rem = dict(a.terms)
     out: dict = {}
     while rem:
@@ -351,23 +345,13 @@ def mp_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 # -- interval evaluation ----------------------------------------------------
 
-DEFAULT_COEFF_WIDTH = Fraction(1, 2 ** 32)
-
-
 def interval_eval(p: MultiPoly, boxes) -> RatInterval:
-    """Enclosure of p over a box per variable, term by term.
-
-    Algebraic coefficients are first narrowed to rational enclosures of
-    width at most DEFAULT_COEFF_WIDTH.
-    """
+    """Enclosure of p over a box per variable, term by term."""
     if len(boxes) != p.nvars:
         raise BssError("wrong number of interval arguments")
     acc = RatInterval.point(0)
     for e, c in p.terms.items():
-        if isinstance(c, AlgebraicNumber):
-            ci = c.enclosure(max_width=DEFAULT_COEFF_WIDTH)
-        else:
-            ci = RatInterval.point(c)
+        ci = RatInterval.point(c)
         for box, k in zip(boxes, e):
             if k:
                 ci = ci * box.pow(k)
@@ -378,11 +362,11 @@ def interval_eval(p: MultiPoly, boxes) -> RatInterval:
 # -- rational functions -------------------------------------------------
 
 def _is_one(p: MultiPoly) -> bool:
-    """Is p the constant whose coefficient is the Fraction 1?"""
+    """Is p the constant 1?"""
     if len(p.terms) != 1:
         return False
     (e, c), = p.terms.items()
-    return type(c) is Fraction and c == 1 and not any(e)
+    return c == 1 and not any(e)
 
 
 class RationalFunction:
@@ -406,8 +390,8 @@ class RationalFunction:
                 num = _exact_div(num, g)
                 den = _exact_div(den, g)
             _, lc = den.leading_term()
-            if not (isinstance(lc, Fraction) and lc == 1):
-                inv = lc.inverse() if isinstance(lc, AlgebraicNumber) else 1 / lc
+            if lc != 1:
+                inv = 1 / lc
                 num = num.scale(inv)
                 den = den.scale(inv)
         self.num = num
@@ -449,7 +433,7 @@ class RationalFunction:
             raise BssError("rational function is not constant")
         return self.num.constant_value()
 
-    # Over two denominators that are the Fraction 1, a sum, difference or
+    # Over two denominators that are the constant 1, a sum, difference or
     # product is already canonical: no gcd, no rescaling.
 
     def __add__(self, other: RationalFunction) -> RationalFunction:
@@ -500,7 +484,7 @@ class RationalFunction:
 def rf_eval(rf: RationalFunction, values):
     """Exact evaluation; raises PoleError on a vanishing denominator."""
     den = rf.den.eval(values)
-    if (den.is_zero() if isinstance(den, AlgebraicNumber) else den == 0):
+    if den == 0:
         raise PoleError("evaluation hits a pole")
     num = rf.num.eval(values)
     return num / den

@@ -273,6 +273,8 @@ class AlgebraicNumber:
         """Evaluation over the isolating interval, or over the first schedule
         box at most max_width / L wide, where L = sum k |c_k| M^(k-1) bounds
         the evaluation's width per unit box width on boxes inside [-M, M]."""
+        if max_width is not None and max_width <= 0:
+            raise BssError(f"enclosure width must be positive, got {max_width}")
         if self.is_rational():
             return RatInterval.point(self.coords[0])
         fld, box = self.field, self.field.interval

@@ -52,6 +52,15 @@ class PathCondition:
             if signs.setdefault(f, s) != s:
                 raise BssError(f"contradictory signs on {f} in one path condition")
 
+    @classmethod
+    def _of(cls, constraints, oracle_assumptions) -> "PathCondition":
+        """Trusted constructor: the explorer never pushes a contradictory
+        arm, so its leaves skip __post_init__'s check."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "constraints", constraints)
+        object.__setattr__(c, "oracle_assumptions", oracle_assumptions)
+        return c
+
     def sign_of(self, f: RationalFunction) -> int | None:
         for g, s in self.constraints:
             if g == f:
@@ -200,7 +209,7 @@ def explore_paths(program: Program, arity: int | None = None,
 
         if status == FORK:
             status = BUDGET_EXHAUSTED
-        leaf = PathLeaf(history, PathCondition(constraints, assumptions), status,
+        leaf = PathLeaf(history, PathCondition._of(constraints, assumptions), status,
                         payload if status == HALTED else None,
                         payload if status == FAULT else None,
                         any(s == 0 for _, s in constraints), forks)

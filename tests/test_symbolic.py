@@ -347,6 +347,41 @@ def test_path_condition_sign_of_matches_a_linear_scan():
         assert set(vars(leaf.condition)) == {"constraints", "oracle_assumptions"}
 
 
+def test_explore_paths_builds_leaves_without_a_second_validation(monkeypatch):
+    # the explorer never pushes a contradictory arm, so its leaves skip the
+    # public constructor's check, and still equal what that constructor builds
+    def refuse(self):
+        raise AssertionError("leaf condition validated again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PathCondition, "__post_init__", refuse)
+        trees = [explore_paths(stdlib_program("cantor_cosemidecider"), depth_budget=5),
+                 explore_paths(stdlib_program("oracle_member"), oracle_policy="split",
+                               depth_budget=5)]
+    assert any(leaf.condition.oracle_assumptions for leaf in trees[1].leaves)
+    for tree in trees:
+        for leaf in tree.leaves:
+            c = leaf.condition
+            assert c == PathCondition(c.constraints, c.oracle_assumptions)
+
+
+def test_path_trees_keep_fraction_coefficients():
+    # the arithmetic fast paths build these functions without the
+    # validating constructor
+    checked = 0
+    for name in stdlib_names():
+        program = stdlib_program(name)
+        if program.arity != 1:
+            continue
+        for leaf in explore_paths(program, depth_budget=5).leaves:
+            fns = [f for f, _ in leaf.condition.constraints] + list(leaf.outputs or ())
+            for f in fns:
+                for poly in (f.num, f.den):
+                    assert all(type(c) is F for c in poly.terms.values()), (name, str(f))
+                checked += 1
+    assert checked > 1000
+
+
 def test_path_condition_forks_leave_the_parent_untouched():
     y = RationalFunction.var(0, 2)
     z = RationalFunction.var(1, 2)
