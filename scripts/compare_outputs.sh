@@ -12,6 +12,10 @@
 # take --oracle also run paths under --oracle-policy split and witness in
 # both formats.  run, shadow and certify of the arity-1 programs that take
 # an element of the cubic field Q(b), b^3 = b + 1, run in both formats too.
+# sgn runs in both formats at a 300-bit approximation of sqrt 2, and run,
+# shadow and certify of the same five programs run in both formats in the
+# fields X^2 - 2/3 on [0, 1] (a non-integer coefficient) and X^2 - 2 on
+# [-2, -1] (a negative isolating interval).
 # One bss run --trace in text format prints a trace through trace_to_text.
 # Every command's stdout, exit code and last line of stderr go to
 # OUT_DIR/old and OUT_DIR/new, and the script ends with diff -r of the two:
@@ -21,6 +25,8 @@
 # the diff.
 
 field='a=X^2 - 2;1;2'
+# floor(sqrt(2) * 2^300) / 2^300
+r300=$(python3 -c 'from math import isqrt; print(f"{isqrt(2 << 600)}/{1 << 300}")')
 
 run() {  # run NAME FORMAT BSS-ARGS...
   name=$1
@@ -108,6 +114,24 @@ for side in old new; do
       for format in json text; do
         run $p.$cmd.cubic $format $cmd --stdlib $p --budget 2000 \
           --field 'b=X^3 - X - 1;1;2' --input '(b:(2/3,-1,5))'
+      done
+    done
+  done
+  # edges of the integer sign kernel: sgn at a 300-bit approximation of
+  # sqrt 2, a field polynomial with a non-integer coefficient, and a
+  # negative isolating interval
+  for format in json text; do
+    run sgn.run.sqrt2_300 $format run --stdlib sgn --field "$field" \
+      --input "(a:($r300,-1))"
+  done
+  for spec in 'c=X^2 - 2/3;0;1' 'c=X^2 - 2;-2;-1'; do
+    case $spec in *-1) key=negative;; *) key=nonint;; esac
+    for p in sgn interval_member even_zeros inv_shift algebraic_semidecider; do
+      for cmd in run shadow certify; do
+        for format in json text; do
+          run $p.$cmd.$key $format $cmd --stdlib $p --budget 2000 --field "$spec" \
+            --input '(c:(1/3,1))'
+        done
       done
     done
   done

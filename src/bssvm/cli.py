@@ -14,6 +14,7 @@ intended real root, e.g. --field "sqrt2=X^2 - 2;1;2".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -434,7 +435,10 @@ def _add_common(p, *, input_flag=True, oracle_flag=True, budget_flag=True):
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    later ones: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="bss",
         description="Exact-arithmetic machine runner and symbolic analyzer")

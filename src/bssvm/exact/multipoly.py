@@ -10,8 +10,9 @@ denominator with leading coefficient 1, and the zero function stored as
 0/1, so structural equality decides semantic equality.
 
 MultiPoly(...) and RationalFunction(...) validate and canonicalise their
-arguments: a coefficient is an int or a Fraction, and anything else raises
-BssError.  Arithmetic whose result is already clean skips that work:
+arguments: a coefficient is an int or a Fraction, an exponent is a
+nonnegative int and not a bool, and anything else raises BssError.
+Arithmetic whose result is already clean skips that work:
 MultiPoly._of(nvars, terms) takes a dict whose exponent tuples all have
 length nvars and whose coefficients are nonzero Fractions, and keeps it
 without a copy, so the dict must be fresh and never mutated afterwards.
@@ -51,6 +52,10 @@ def _coefficient(c) -> Fraction:
     raise BssError(f"polynomial coefficient {c!r} is not an int or a Fraction")
 
 
+def _is_exponent(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 class MultiPoly:
     # _hash is unset until the first __hash__ fills it
     __slots__ = ("nvars", "terms", "_hash")
@@ -60,8 +65,8 @@ class MultiPoly:
             raise BssError("variable count must be nonnegative")
         clean = {}
         for e, c in (terms or {}).items():
-            e = tuple(int(x) for x in e)
-            if len(e) != nvars or any(x < 0 for x in e):
+            e = tuple(e)
+            if len(e) != nvars or not all(_is_exponent(x) for x in e):
                 raise BssError(f"bad exponent tuple {e} for {nvars} variables")
             c = _coefficient(c)
             if c:

@@ -12,6 +12,12 @@ distinguished root; when the first evaluation leaves the sign open, a Sturm
 count of gcd(element, field polynomial) on the box recognises that case, so
 refinement always terminates.
 
+The sign decision runs in integers (see interval.py): the box and the
+coordinates are scaled to integer numerators over common denominators, and
+the sign of the term-by-term enclosure is read from those numerators with
+no Fraction built.  It decides exactly what the Fraction enclosure over the
+same box decides, so the boxes refined, and their number, are unchanged.
+
 A field's refinement cache, the schedule of boxes that quadratic interval
 refinement builds from the isolating interval, is a function of the field's
 identity (polynomial and interval); a printed enclosure is a function of the
@@ -26,7 +32,7 @@ from fractions import Fraction
 from ..errors import BssError, FieldMismatchError, PoleError
 from .unipoly import UniPoly, poly_ext_gcd
 from .sturm import sturm_chain, count_roots_open, qir_step, squarefree_part
-from .interval import RatInterval, eval_unipoly_interval
+from .interval import RatInterval, eval_unipoly_interval, sign_unipoly_interval
 
 
 class NumberField:
@@ -228,7 +234,7 @@ class AlgebraicNumber:
             return 0 if c == 0 else (1 if c > 0 else -1)
         fld = self.field
         box = fld._boxes[-1]
-        s = eval_unipoly_interval(self.coords, box).sign()
+        s = sign_unipoly_interval(self.coords, box)
         if s is None:
             # A reducible field polynomial lets a nonzero coordinate vector
             # vanish at the root, and then no box decides the sign.  The
@@ -238,7 +244,7 @@ class AlgebraicNumber:
             if g.degree > 0 and count_roots_open(g, box.lo, box.hi) > 0:
                 return 0
         while s is None:
-            s = eval_unipoly_interval(self.coords, fld.refine()).sign()
+            s = sign_unipoly_interval(self.coords, fld.refine())
         return s
 
     def __eq__(self, other) -> bool:

@@ -8,15 +8,21 @@ Root counting always runs on the squarefree part so repeated roots are
 counted once.  An isolating interval is narrowed by quadratic interval
 refinement (qir_step), which falls back to one bisection (refine_interval)
 when its secant guess misses.
+
+Every sign here is read from an integer: a chain polynomial at t = x / d is
+horner(nums, x, d), d^m times e * p(t) for the positive lcm e of its
+coefficients' denominators, and the grid of a refinement step is a set of
+integers over one denominator.  The signs, counts and boxes are the same
+exact values as Fraction evaluation gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from ..errors import BssError
-from .unipoly import UniPoly
+from .unipoly import UniPoly, horner, integer_coeffs
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -40,11 +46,7 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
 
 
 def sign_variations(chain: list[UniPoly], t: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q.eval_fraction(t)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (q.sign_fraction(t) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -61,7 +63,7 @@ def count_roots_open(p: UniPoly, a: Fraction, b: Fraction,
         chain = sturm_chain(sf)
     n = sign_variations(chain, a) - sign_variations(chain, b)
     # Sturm counts roots in (a, b]; drop b if it is a root.
-    if sf.eval_fraction(b) == 0:
+    if sf.sign_fraction(b) == 0:
         n -= 1
     return n
 
@@ -92,9 +94,9 @@ def sturm_isolate(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     lo, hi = -bound, bound
     # Make sure the outer endpoints are not roots (the bound is strict, but
     # stay defensive for degree shifts under squarefree reduction).
-    while sf.eval_fraction(lo) == 0:
+    while sf.sign_fraction(lo) == 0:
         lo -= 1
-    while sf.eval_fraction(hi) == 0:
+    while sf.sign_fraction(hi) == 0:
         hi += 1
 
     out: list[tuple[Fraction, Fraction]] = []
@@ -108,7 +110,7 @@ def sturm_isolate(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
             return
         mid = (a + b) / 2
         shift = (b - a) / 4
-        while sf.eval_fraction(mid) == 0:
+        while sf.sign_fraction(mid) == 0:
             mid += shift
             shift /= 2
         vm = sign_variations(chain, mid)
@@ -126,17 +128,17 @@ def refine_interval(p: UniPoly, a: Fraction, b: Fraction) -> tuple[Fraction, Fra
     Requires exactly one root in (a, b); keeps the half that still holds it.
     """
     mid = (a + b) / 2
-    vm = p.eval_fraction(mid)
+    vm = p.sign_fraction(mid)
     if vm == 0:
         # Nudge off the root; the root stays strictly inside one half.
         mid = (a + mid) / 2
-        vm = p.eval_fraction(mid)
+        vm = p.sign_fraction(mid)
         if vm == 0:
             raise BssError("interval does not isolate a single root")
-    va = p.eval_fraction(a)
+    va = p.sign_fraction(a)
     if va == 0:
         raise BssError("isolating interval endpoint is a root")
-    if (va > 0) != (vm > 0):
+    if va != vm:
         return (a, mid)
     return (mid, b)
 
@@ -152,20 +154,39 @@ def qir_step(p: UniPoly, a: Fraction, b: Fraction,
     size becomes n^2.  Otherwise one bisection is taken and the grid size
     drops to max(4, sqrt(n)).  A grid point that is exactly the root becomes
     the point interval (x, x).  Returns the new interval and grid size.
+
+    The grid runs in integers over the denominator d = lcm(den a, den b) * n,
+    where every grid point a + k (b - a) / n is an integer over d and
+    horner() gives p there up to one positive factor; the secant's grid
+    index is rounded half to even, as round() rounds a Fraction.
     """
-    fa, fb = p.eval_fraction(a), p.eval_fraction(b)
-    w = (b - a) / n
-    k = min(max(round(n * fa / (fa - fb)), 1), n - 1)
-    x = a + k * w
-    fx = p.eval_fraction(x)
+    _, nums = integer_coeffs(p.coeffs)
+    d = lcm(a.denominator, b.denominator) * n
+    xa = a.numerator * (d // a.denominator)
+    xb = b.numerator * (d // b.denominator)
+    w = (xb - xa) // n
+    fa, fb = horner(nums, xa, d), horner(nums, xb, d)
+    k = min(max(_round_half_even(n * fa, fa - fb), 1), n - 1)
+    x = xa + k * w
+    fx = horner(nums, x, d)
     if fx == 0:
-        return (x, x), n
+        return (Fraction(x, d), Fraction(x, d)), n
     # The neighbour on the root's side of x; grid ends are a and b.
     j = k + 1 if (fx > 0) == (fa > 0) else k - 1
-    y = a + j * w
-    fy = fa if j == 0 else fb if j == n else p.eval_fraction(y)
+    y = xa + j * w
+    fy = fa if j == 0 else fb if j == n else horner(nums, y, d)
     if fy == 0:
-        return (y, y), n
+        return (Fraction(y, d), Fraction(y, d)), n
     if (fy > 0) != (fx > 0):
-        return (min(x, y), max(x, y)), n * n
+        return (Fraction(min(x, y), d), Fraction(max(x, y), d)), n * n
     return refine_interval(p, a, b), max(4, isqrt(n))
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """round(Fraction(num, den)) for den != 0, without building the Fraction."""
+    if den < 0:
+        num, den = -num, -den
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
+        q += 1
+    return q

@@ -4,15 +4,38 @@ Coefficients are stored lowest degree first with no trailing zeros; the zero
 polynomial has an empty coefficient tuple.  The textual form is sparse and
 highest degree first, e.g. ``X^2 - 2``; :func:`UniPoly.parse` reads that form
 back (and also tolerates dense ascending text such as ``-2 + 0*X + 1*X^2``).
+
+Evaluation at a rational point runs in integers: with the coefficients
+written as nums[i] / e over the lcm e of their denominators and the point
+as x / d, :func:`horner` computes e * d^m * p(x / d) exactly, so the value
+and its sign need no Fraction until the one result is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from ..errors import BssError, PoleError
 from .rational import parse_rational, format_rational
+
+
+def integer_coeffs(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(e, nums) with coeffs[i] == nums[i] / e, where e > 0 is the lcm of the
+    coefficients' denominators."""
+    e = lcm(*[c.denominator for c in coeffs])
+    return e, [c.numerator * (e // c.denominator) for c in coeffs]
+
+
+def horner(nums: Sequence[int], x: int, d: int) -> int:
+    """sum nums[i] * x^i * d^(m - i) for m = len(nums) - 1, by Horner's rule:
+    d^m times the polynomial with coefficients nums at x / d, in integers."""
+    acc, dk = 0, 1
+    for c in reversed(nums):
+        acc = acc * x + c * dk
+        dk *= d
+    return acc
 
 
 def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -173,10 +196,16 @@ class UniPoly:
         return acc
 
     def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        e, nums = integer_coeffs(self.coeffs)
+        d = x.denominator
+        return Fraction(horner(nums, x.numerator, d), e * d ** (len(nums) - 1))
+
+    def sign_fraction(self, x: Fraction) -> int:
+        """Sign of p(x), from the integer Horner value alone."""
+        v = horner(integer_coeffs(self.coeffs)[1], x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
 
     # -- text form -------------------------------------------------------
 

@@ -706,6 +706,15 @@ def test_multipoly_public_constructor_still_validates():
     assert p.terms == {(0, 1): F(3)} and type(p.terms[(0, 1)]) is F
 
 
+@pytest.mark.parametrize("exponent", [1.5, "2", True, 2.0, F(2)])
+def test_multipoly_rejects_an_exponent_that_is_not_an_int(exponent):
+    # int(x) used to turn 1.5 into 1 and "2" into 2 without a word
+    with pytest.raises(BssError, match="bad exponent"):
+        MultiPoly(1, {(exponent,): F(1)})
+    with pytest.raises(BssError, match="bad exponent"):
+        MultiPoly(2, {(0, exponent): F(1)})
+
+
 def test_multipoly_products_drop_cancelled_coefficients():
     # (Y1 + 1)(Y1 - 1) = Y1^2 - 1: the two Y1 terms cancel and are not stored
     y, one = MultiPoly.var(0, 1), MultiPoly.constant(1, 1)

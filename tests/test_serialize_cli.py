@@ -391,6 +391,65 @@ def test_usage_errors_go_to_stderr(capsys):
     assert code == 2 and err and not out
 
 
+# -- one parser for every in-process call --------------------------------------------
+
+SEQUENCE = [
+    ("run", "--stdlib", "algebraic_semidecider", "--field", "a=X^2 - 2;1;2",
+     "--input", "(a:(1/3,1))", "--budget", "2000", "--format", "json"),
+    ("certify", "--stdlib", "interval_member", "--field", "b=X^3 - X - 1;1;2",
+     "--input", "(b:(0,1/2))"),
+    ("witness", "--stdlib", "oracle_member", "--oracle", "rationals",
+     "--input", "(5, 7)", "--format", "json"),
+    ("run", "--stdlib", "sgn", "--field", "a=X^2 - 2/3;0;1", "--input", "(a:(0,-1))",
+     "--trace"),
+]
+
+
+def _alone(argv):
+    """What bss prints for argv in a process of its own."""
+    src = str(Path(bssvm.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "bssvm.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_a_row_print_what_each_call_prints_alone(capsys):
+    alone = {argv: _alone(argv) for argv in SEQUENCE}
+    assert all(code == 0 for code, _, _ in alone.values())
+    for order in (SEQUENCE, SEQUENCE[::-1]):
+        for argv in order:
+            assert run_cli(capsys, *argv) == alone[argv], argv
+
+
+def test_a_field_from_one_call_is_not_seen_by_the_next(capsys):
+    code, out, _ = run_cli(capsys, "run", "--stdlib", "sgn", "--field", "a=X^2 - 2;1;2",
+                           "--input", "(a:(0,1))")
+    assert code == 0 and "output: (1)" in out
+    code, out, err = run_cli(capsys, "run", "--stdlib", "sgn", "--input", "(a:(0,1))")
+    assert code == 2 and "unknown field 'a'" in err and not out
+
+
+@pytest.mark.parametrize("bad", [
+    ("run", "--stdlib", "sgn", "--input", "(1)", "--budget", "0"),   # refused while parsing
+    ("run", "--stdlib", "sgn", "--input", "(1)", "--bogus"),         # argparse exits
+    ("run", "--stdlib", "sgn", "--input", "(1)", "--format", "xml"),
+    ("nope",),
+    ("certify", "--stdlib", "sgn", "--field", "a=X^2 - 2;2;3", "--input", "(a:(0,1))"),
+])
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys, bad):
+    good = ("run", "--stdlib", "sgn", "--field", "a=X^3 - 2;1;2", "--input", "(a:(0,1))",
+            "--trace")
+    before = run_cli(capsys, *good)
+    try:
+        code = main(list(bad))
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code == 2
+    assert run_cli(capsys, *good) == before
+
+
 # -- schema self-checks --------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
