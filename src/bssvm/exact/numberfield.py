@@ -47,19 +47,19 @@ class NumberField:
             raise BssError("field polynomial must be monic")
         if squarefree_part(min_poly) != min_poly:
             raise BssError("field polynomial must be squarefree")
+        self.min_poly = min_poly
+        self.interval = interval          # as constructed; never mutated
+        self._boxes = [interval]          # refinement schedule, only grows
+        self._grid = 4                    # grid size of the next refinement step
+        self._chain = None
         if interval.lo == interval.hi:
             if min_poly.eval_fraction(interval.lo) != 0:
                 raise BssError("point interval is not a root of the field polynomial")
         else:
             if min_poly.eval_fraction(interval.lo) == 0 or min_poly.eval_fraction(interval.hi) == 0:
                 raise BssError("isolating interval endpoint is a root")
-            if count_roots_open(min_poly, interval.lo, interval.hi) != 1:
+            if count_roots_open(min_poly, interval.lo, interval.hi, chain=self.chain()) != 1:
                 raise BssError("interval does not isolate exactly one root")
-        self.min_poly = min_poly
-        self.interval = interval          # as constructed; never mutated
-        self._boxes = [interval]          # refinement schedule, only grows
-        self._grid = 4                    # grid size of the next refinement step
-        self._chain = None
 
     @property
     def degree(self) -> int:

@@ -55,15 +55,16 @@ def count_roots_open(p: UniPoly, a: Fraction, b: Fraction,
     """Distinct real roots of p in the open interval (a, b).
 
     The endpoints themselves are not counted even when p vanishes there.
+    A given chain is the Sturm chain of p's squarefree part, which is then
+    read from chain[0] instead of computed again.
     """
     if a >= b:
         raise BssError("interval endpoints out of order")
-    sf = squarefree_part(p)
     if chain is None:
-        chain = sturm_chain(sf)
+        chain = sturm_chain(squarefree_part(p))
     n = sign_variations(chain, a) - sign_variations(chain, b)
     # Sturm counts roots in (a, b]; drop b if it is a root.
-    if sf.sign_fraction(b) == 0:
+    if chain[0].sign_fraction(b) == 0:
         n -= 1
     return n
 

@@ -18,6 +18,13 @@ The index from function to sign that makes each lookup O(1) lives on the
 explorer's stack, one dict per pending state, so it dies with its state and
 a finished leaf keeps only its plain PathCondition.
 
+A tree keeps only its leaves (history, condition, outcome); they hold the
+whole tree, and PathTree.nodes rebuilds the inner nodes from them on demand.
+Constraints are appended only at BRANCH forks, so the j-th sign arm
+(-1/0/+1) of a history is condition.constraints[j]; an oracle forks only
+under "split", where no generic assumption is appended, so the k-th yes/no
+arm is condition.oracle_assumptions[k].
+
 Paths run on the execution core (machine/core.py) over rational functions.
 """
 
@@ -61,25 +68,6 @@ class PathCondition:
         object.__setattr__(c, "oracle_assumptions", oracle_assumptions)
         return c
 
-    def sign_of(self, f: RationalFunction) -> int | None:
-        for g, s in self.constraints:
-            if g == f:
-                return s
-        return None
-
-    def assumed(self, fns: tuple[RationalFunction, ...]) -> bool | None:
-        for g, a in self.oracle_assumptions:
-            if g == fns:
-                return a
-        return None
-
-    def with_constraint(self, f: RationalFunction, s: int) -> "PathCondition":
-        return PathCondition(self.constraints + ((f, s),), self.oracle_assumptions)
-
-    def with_assumption(self, fns, answer: bool) -> "PathCondition":
-        return PathCondition(self.constraints,
-                             self.oracle_assumptions + ((tuple(fns), answer),))
-
     def satisfied_by(self, values, oracle: Oracle | None = None) -> bool:
         """Do concrete input values meet every constraint (and, when an
         oracle is supplied, every oracle assumption)?"""
@@ -110,9 +98,21 @@ class PathTree:
     program: Program
     arity: int
     depth_budget: int
-    # history prefix -> ("branch", f) | ("oracle", fns) | ("leaf", PathLeaf)
-    nodes: dict[tuple[str, ...], tuple]
     leaves: tuple[PathLeaf, ...]
+
+    @property
+    def nodes(self) -> dict[tuple[str, ...], tuple]:
+        """History prefix -> ("branch", f) | ("oracle", fns) | ("leaf", PathLeaf),
+        rebuilt from the leaves as the module docstring describes."""
+        nodes: dict[tuple[str, ...], tuple] = {}
+        for leaf in self.leaves:
+            signs = iter(leaf.condition.constraints)
+            answers = iter(leaf.condition.oracle_assumptions)
+            for j, arm in enumerate(leaf.history):
+                nodes[leaf.history[:j]] = (("oracle", next(answers)[0]) if arm in ("yes", "no")
+                                           else ("branch", next(signs)[0]))
+            nodes[leaf.history] = ("leaf", leaf)
+        return nodes
 
     def halted_leaves(self) -> tuple[PathLeaf, ...]:
         return tuple(l for l in self.leaves if l.outcome == "halted")
@@ -179,7 +179,6 @@ def explore_paths(program: Program, arity: int | None = None,
         raise BssError(f"program {program.name} has arity {program.arity}, got {arity}")
     oracle = oracle if oracle is not None else Oracle.empty()
     code = compile_program(program)
-    nodes: dict[tuple[str, ...], tuple] = {}
     leaves: list[PathLeaf] = []
 
     # a state is (pc, offset, cells, constraints, signs, assumptions, history,
@@ -194,7 +193,6 @@ def explore_paths(program: Program, arity: int | None = None,
         assumptions = domain.assumptions
         if status == FORK and forks < depth_budget:
             op, _, targets, yes, no = code[pc]
-            nodes[history] = ("branch" if op == BRANCH else "oracle", payload)
             if op == BRANCH:  # reversed: the stack pops -1 first
                 for s in (1, 0, -1):
                     stack.append((targets[s + 1], offset, dict(cells),
@@ -213,10 +211,9 @@ def explore_paths(program: Program, arity: int | None = None,
                         payload if status == HALTED else None,
                         payload if status == FAULT else None,
                         any(s == 0 for _, s in constraints), forks)
-        nodes[history] = ("leaf", leaf)
         leaves.append(leaf)
 
-    return PathTree(program, arity, depth_budget, nodes, tuple(leaves))
+    return PathTree(program, arity, depth_budget, tuple(leaves))
 
 
 def as_unipoly(p: MultiPoly) -> UniPoly:

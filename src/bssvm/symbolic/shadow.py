@@ -5,10 +5,10 @@ written cell, the canonical rational function of the input indeterminates
 that produced it: it runs the execution core (machine/core.py) over cells
 that hold both.  Branch directions and oracle answers come from the
 concrete values, so the symbolic side never decides anything; it only
-records what function of the input each cell holds.  The payoff is the
-agreement property: evaluating any recorded function at the input
-reproduces the concrete cell exactly, step by step, which
-field_boundary_check verifies after the fact.
+records what function of the input each cell holds.  Each step keeps only
+the cells it wrote.  The payoff is the agreement property: evaluating a
+written cell's function at the input gives the concrete value written,
+which field_boundary_check verifies after the fact.
 """
 
 from __future__ import annotations
@@ -68,19 +68,10 @@ class SymbolicTrace:
     output_values: tuple[Value, ...] | None
     final_cells: dict[int, RationalFunction] = field(repr=False, default_factory=dict)
     final_values: dict[int, Value] = field(repr=False, default_factory=dict)
-    # the symbolic cells before the first step (inputs and zeros)
-    _base_cells: dict[int, RationalFunction] = field(repr=False, default_factory=dict)
 
     @property
     def steps_executed(self) -> int:
         return len(self.steps)
-
-    def cells_at(self, step_index: int) -> dict[int, RationalFunction]:
-        """Symbolic cell contents after the given step (replays deltas)."""
-        out: dict[int, RationalFunction] = dict(self._base_cells)
-        for s in self.steps[: step_index + 1]:
-            out.update(s.cells)
-        return out
 
     def branch_history(self) -> tuple[int, ...]:
         return tuple(e.sign for e in self.branch_log)
@@ -223,7 +214,6 @@ def shadow_trace(program: Program, input_values, oracle: Oracle | None = None,
         output_values=None if output is None else tuple(c.value for c in output),
         final_cells={cell: function(c) for cell, c in cells.items()},
         final_values={cell: c.value for cell, c in cells.items()},
-        _base_cells=base,
     )
 
 

@@ -49,8 +49,8 @@ def ternary_expansion(x: Fraction, digit_budget: int | None = None,
     raise BssError(f"ternary expansion of {x} exceeds {digit_budget} digits")
 
 
-def ternary_string(x: Fraction, digit_budget: int | None = None) -> str:
-    pre, cyc = ternary_expansion(x, digit_budget)
+def ternary_string(x: Fraction) -> str:
+    pre, cyc = ternary_expansion(x)
     body = "".join(str(d) for d in pre)
     if cyc:
         body += "(" + "".join(str(d) for d in cyc) + ")"
@@ -78,12 +78,11 @@ def _digits_value(pre, cyc) -> Fraction:
 _DIGIT_SPLIT = {0: (0, 0), 1: (0, 2), 2: (2, 0)}
 
 
-def cantor_decompose(x: Fraction, digit_budget: int | None = None,
-                     ) -> CantorPair:
+def cantor_decompose(x: Fraction) -> CantorPair:
     """Split x in [0, 1] as c1 + c2/2 with both parts in the middle-thirds
     set.  Each ternary digit d splits in place: 0 -> (0, 0), 2 -> (2, 0),
     and 1 -> (0, 2), the halving turning the 2 back into a 1."""
-    pre, cyc = ternary_expansion(x, digit_budget)
+    pre, cyc = ternary_expansion(x)
     pre1 = [_DIGIT_SPLIT[d][0] for d in pre]
     pre2 = [_DIGIT_SPLIT[d][1] for d in pre]
     cyc1 = [_DIGIT_SPLIT[d][0] for d in cyc]

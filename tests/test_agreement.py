@@ -13,6 +13,7 @@ import pytest
 from bssvm.exact import algebraic_equal, nth_root_field, rf_eval
 from bssvm.machine import Oracle, initial_cells, parse_program, run_concrete
 from bssvm.symbolic import explore_paths, shadow_trace
+from bssvm.symbolic.shadow import input_functions
 
 # CONST (literal and $param), COPY, ADD/SUB/MUL/DIV, BRANCH, JMP, ORACLE,
 # SHIFTR; a DIV by the branch-pinned zero; OUTPUT c1..c1 after one SHIFTR
@@ -152,15 +153,15 @@ def test_tree_leaf_at_step_cap():
 
 
 @pytest.mark.parametrize("text,oracle,values,status,fault_kind", CASES)
-def test_shadow_cells_at_replays_the_concrete_run(text, oracle, values, status,
-                                                  fault_kind):
+def test_shadow_cells_replay_the_concrete_run(text, oracle, values, status, fault_kind):
     program, values = _case(text, values)
     _, ctrace = run_concrete(program, values, oracle=oracle, budget=BUDGET)
     strace = shadow_trace(program, values, oracle=oracle, budget=BUDGET)
     cells = initial_cells(program, values)
-    for i, step in enumerate(ctrace.steps):
+    functions = input_functions(program, len(strace.input))
+    for i, (step, sstep) in enumerate(zip(ctrace.steps, strace.steps, strict=True)):
         cells.update(step.writes)
-        functions = strace.cells_at(i)
+        functions.update(sstep.cells)
         assert set(functions) == set(cells)
         for cell, f in functions.items():
             assert algebraic_equal(rf_eval(f, values), cells[cell]), (i, cell)

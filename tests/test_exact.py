@@ -188,6 +188,45 @@ def test_sturm_isolate_interval_counts_are_one():
             assert lo < r < hi or lo == hi == r
 
 
+def test_count_roots_open_reads_the_squarefree_part_from_a_given_chain():
+    # endpoints at roots, between roots and outside them, on squarefree inputs
+    rng = random.Random(11)
+    for _ in range(40):
+        roots = sorted({F(rng.randint(-8, 8), rng.randint(1, 4))
+                        for _ in range(rng.randint(1, 4))})
+        p = unipoly_from_roots(roots)
+        chain = sturm_chain(p)
+        points = sorted(set(roots) | {F(rng.randint(-20, 20), 4) for _ in range(6)})
+        for a in points:
+            for b in points:
+                if a < b:
+                    assert count_roots_open(p, a, b, chain=chain) == count_roots_open(p, a, b)
+    p = UniPoly.parse("X^3 - X - 1")
+    assert count_roots_open(p, F(1), F(2), chain=sturm_chain(p)) == 1
+
+
+def test_number_field_build_takes_one_squarefree_part(monkeypatch):
+    import bssvm.exact.numberfield as numberfield_module
+    import bssvm.exact.sturm as sturm_module
+
+    calls = []
+    squarefree_part = sturm_module.squarefree_part
+
+    def counted(p):
+        calls.append(p)
+        return squarefree_part(p)
+
+    monkeypatch.setattr(sturm_module, "squarefree_part", counted)
+    monkeypatch.setattr(numberfield_module, "squarefree_part", counted)
+    p = UniPoly.parse("X^3 - X - 1")
+    field = NumberField(p, RatInterval(F(1), F(2)))
+    assert calls == [p]
+    assert field == NumberField(p, RatInterval(F(1), F(3, 2)))
+    assert len(calls) == 2
+    with pytest.raises(BssError, match="isolate exactly one root"):
+        NumberField(UniPoly.parse("X^2 - 2"), RatInterval(F(-2), F(2)))
+
+
 # -- sign determination ------------------------------------------------------
 
 def test_sign_at_zero_coords_is_zero(sqrt2_field):

@@ -1,6 +1,7 @@
 """Symbolic layer: shadow traces, certificates, path exploration."""
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,7 @@ from bssvm.machine import (Arith, Branch, Const, Oracle, OracleCall, parse_progr
 from bssvm.stdlib import stdlib_names, stdlib_program
 from bssvm.symbolic import (
     PathCondition,
+    PathTree,
     as_unipoly,
     boundary_report,
     epsilon_certificate,
@@ -29,6 +31,7 @@ from bssvm.symbolic import (
     shadow_trace,
     verify_neighborhood,
 )
+from bssvm.symbolic.shadow import input_functions
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +195,9 @@ def test_shadow_lifts_bare_constants_in_every_public_field(name):
         lo, hi = prog.zero_window
         ref.update({c: RationalFunction(MultiPoly(nvars)) for c in range(max(lo, nvars), hi + 1)})
     branches, queries = iter(trace.branch_log), iter(trace.oracle_log)
+    snapshot = input_functions(prog, nvars)
     for step in trace.steps:
+        snapshot.update(step.cells)
         instr = prog.instructions[step.pc][1]
         if isinstance(instr, (Const, Arith)):
             ref[instr.dst] = _unlifted(instr, ref, nvars)
@@ -206,7 +211,6 @@ def test_shadow_lifts_bare_constants_in_every_public_field(name):
             for got, cell in zip(event.functions, range(instr.lo, instr.hi + 1)):
                 _same(got, ref[cell])
             assert event.was_constant == (instr.lo > 0)
-        snapshot = trace.cells_at(step.index)
         assert snapshot.keys() == ref.keys()
         for cell in ref:
             _same(snapshot[cell], ref[cell])
@@ -321,30 +325,12 @@ def test_path_condition_contradiction_rejected():
     y = RationalFunction.var(0, 1)
     cond = PathCondition(((y, 1),))
     with pytest.raises(BssError):
-        cond.with_constraint(y, -1)
+        PathCondition(cond.constraints + ((y, -1),))
     with pytest.raises(BssError):
         PathCondition(((y, 1), (y - RationalFunction.constant(F(0), 1), 0)))
     with pytest.raises(BssError):
         dataclasses.replace(cond, constraints=((y, 1), (y, -1)))
-    assert cond.with_constraint(y, 1).sign_of(y) == 1
-
-
-def test_path_condition_sign_of_matches_a_linear_scan():
-    tree = explore_paths(stdlib_program("cantor_cosemidecider"), depth_budget=5)
-    fns = {f for leaf in tree.leaves for f, _ in leaf.condition.constraints}
-    fns |= {f + RationalFunction.constant(F(1), 1) for f in fns}   # unconstrained ones
-    for leaf in tree.leaves:
-        cond = leaf.condition
-        for f in fns:
-            want = next((s for g, s in cond.constraints if g == f), None)
-            assert cond.sign_of(f) == want
-        assert set(vars(cond)) == {"constraints", "oracle_assumptions"}
-    assert len(tree.leaves) > 100
-    split = explore_paths(stdlib_program("oracle_member"), oracle_policy="split",
-                          depth_budget=5)
-    assert any(leaf.condition.oracle_assumptions for leaf in split.leaves)
-    for leaf in split.leaves:
-        assert set(vars(leaf.condition)) == {"constraints", "oracle_assumptions"}
+    assert PathCondition(cond.constraints + ((y, 1),)).constraints == ((y, 1), (y, 1))
 
 
 def test_explore_paths_builds_leaves_without_a_second_validation(monkeypatch):
@@ -358,11 +344,13 @@ def test_explore_paths_builds_leaves_without_a_second_validation(monkeypatch):
         trees = [explore_paths(stdlib_program("cantor_cosemidecider"), depth_budget=5),
                  explore_paths(stdlib_program("oracle_member"), oracle_policy="split",
                                depth_budget=5)]
+    assert len(trees[0].leaves) > 100
     assert any(leaf.condition.oracle_assumptions for leaf in trees[1].leaves)
     for tree in trees:
         for leaf in tree.leaves:
             c = leaf.condition
             assert c == PathCondition(c.constraints, c.oracle_assumptions)
+            assert set(vars(c)) == {"constraints", "oracle_assumptions"}
 
 
 def test_path_trees_keep_fraction_coefficients():
@@ -382,31 +370,15 @@ def test_path_trees_keep_fraction_coefficients():
     assert checked > 1000
 
 
-def test_path_condition_forks_leave_the_parent_untouched():
-    y = RationalFunction.var(0, 2)
-    z = RationalFunction.var(1, 2)
-    parent = PathCondition(((y, 1),))
-    arms = [parent.with_constraint(z, s) for s in (-1, 0, 1)]
-    answers = [parent.with_assumption((z,), a) for a in (False, True)]
-    assert parent.sign_of(z) is None and parent.constraints == ((y, 1),)
-    for arm, s in zip(arms, (-1, 0, 1)):
-        assert arm.sign_of(z) == s and arm.sign_of(y) == 1
-        assert arm == PathCondition(((y, 1), (z, s)))
-    for cond, a in zip(answers, (False, True)):
-        assert cond.sign_of(y) == 1 and cond.sign_of(z) is None
-        assert cond.assumed((z,)) is a
-        assert cond == PathCondition(((y, 1),), (((z,), a),))
-
-
 def test_path_condition_replace_eq_hash_and_repr_see_only_the_fields():
     y = RationalFunction.var(0, 1)
-    built = PathCondition().with_constraint(y, 1).with_assumption((y,), False)
+    built = PathCondition._of(((y, 1),), (((y,), False),))
     direct = PathCondition(((y, 1),), (((y,), False),))
     assert built == direct and hash(built) == hash(direct) and repr(built) == repr(direct)
     assert [f.name for f in dataclasses.fields(PathCondition)] == [
         "constraints", "oracle_assumptions"]
     moved = dataclasses.replace(built, constraints=((y, -1),))
-    assert moved.sign_of(y) == -1 and built.sign_of(y) == 1
+    assert moved.constraints == ((y, -1),) and built.constraints == ((y, 1),)
     assert moved != built and moved.oracle_assumptions == built.oracle_assumptions
 
 
@@ -580,6 +552,61 @@ def test_explore_paths_oracle_split_policy():
     tree = explore_paths(prog, oracle_policy="split", depth_budget=5)
     assert len(tree.leaves) == 2
     assert sorted(str(leaf.outputs[0]) for leaf in tree.leaves) == ["0", "1"]
+
+
+# sha256 of the sorted (prefix, kind, str(payload)) items of tree.nodes, as
+# the explorer stored them before the nodes were derived from the leaves
+PINNED_NODES = [
+    ("cantor_cosemidecider", "generic", 6, 493,
+     "f7b2316494804aa2c75202fc6508045f3b53739ab120084d982319ce0c8c84bb"),
+    ("sgn_decider", "generic", 10, 4,
+     "cffbfc1ca13ec133a48ff17139aaa4953dff693c4b539a049d9296d40ade4ce5"),
+    ("even_zeros", "generic", 20, 61,
+     "605908d9d811099e43c8eef42b27fb65d234dcdbaa9317768215c8332dd0041e"),
+    ("q_enumerator", "generic", 3, 10,
+     "e4ab159d6393e4477813be811b1127b3a94120ecc9c9ffbe3fd20eec29a8b220"),
+    ("oracle_member", "split", 5, 3,
+     "fc88ddc417d39c74142ea2a38970059c1e5460513ff5b7abd71e1e013c78e03f"),
+    ("eq_probe", "split", 5, 4,
+     "e09d8a20ca7f77e1b512be414121d22cd51574fa4a39298e41e2ab06f1a52725"),
+]
+
+
+@pytest.mark.parametrize("name,policy,depth,count,digest", PINNED_NODES)
+def test_path_tree_nodes_derived_from_the_leaves_match_the_stored_ones(
+        name, policy, depth, count, digest):
+    tree = explore_paths(stdlib_program(name), oracle_policy=policy, depth_budget=depth)
+    items = sorted((prefix, kind, str(payload))
+                   for prefix, (kind, payload) in tree.nodes.items())
+    assert len(items) == count
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+
+
+def test_path_tree_stores_only_its_leaves():
+    assert [f.name for f in dataclasses.fields(PathTree)] == [
+        "program", "arity", "depth_budget", "leaves"]
+
+
+@pytest.mark.parametrize("policy", ["generic", "split"])
+def test_each_fork_appends_its_arm_to_the_leaf_condition(policy):
+    # the invariant PathTree.nodes reads: the j-th sign arm of a history is
+    # its j-th constraint, the k-th yes/no arm its k-th oracle assumption
+    signs = {-1: "-1", 0: "0", 1: "+1"}
+    forks = 0
+    for name in stdlib_names():
+        for leaf in explore_paths(stdlib_program(name), oracle_policy=policy,
+                                  depth_budget=5).leaves:
+            cond = leaf.condition
+            assert [a for a in leaf.history if a not in ("yes", "no")] == [
+                signs[s] for _, s in cond.constraints]
+            answers = [a for a in leaf.history if a in ("yes", "no")]
+            if policy == "split":
+                assert answers == [
+                    "yes" if answer else "no" for _, answer in cond.oracle_assumptions]
+            else:
+                assert answers == []
+            forks += len(leaf.history)
+    assert forks > 1000
 
 
 def test_semidecider_halted_leaves_need_equality():
