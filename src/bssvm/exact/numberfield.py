@@ -92,7 +92,7 @@ class NumberField:
     def from_rational(self, r) -> AlgebraicNumber:
         coords = [Fraction(0)] * self.degree
         coords[0] = Fraction(r)
-        return AlgebraicNumber(self, tuple(coords))
+        return AlgebraicNumber._of(self, tuple(coords))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -134,6 +134,14 @@ class AlgebraicNumber:
         self.field = field
         self.coords = coords
 
+    @classmethod
+    def _of(cls, field: NumberField, coords: tuple[Fraction, ...]) -> AlgebraicNumber:
+        """Trusted constructor: coords is a tuple of field.degree Fractions."""
+        a = object.__new__(cls)
+        a.field = field
+        a.coords = coords
+        return a
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -167,16 +175,16 @@ class AlgebraicNumber:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return AlgebraicNumber(a.field, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return AlgebraicNumber._of(a.field, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, tuple(-c for c in self.coords))
+        return AlgebraicNumber._of(self.field, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return AlgebraicNumber(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return AlgebraicNumber._of(a.field, tuple(x - y for x, y in zip(a.coords, b.coords)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -186,12 +194,12 @@ class AlgebraicNumber:
         fld = a.field
         if b.is_rational():
             r = b.coords[0]
-            return AlgebraicNumber(fld, tuple(c * r for c in a.coords))
+            return AlgebraicNumber._of(fld, tuple(c * r for c in a.coords))
         if a.is_rational():
             r = a.coords[0]
-            return AlgebraicNumber(fld, tuple(c * r for c in b.coords))
+            return AlgebraicNumber._of(fld, tuple(c * r for c in b.coords))
         prod = UniPoly(a.coords) * UniPoly(b.coords)
-        return AlgebraicNumber(fld, _pad(prod % fld.min_poly, fld.degree))
+        return AlgebraicNumber._of(fld, _pad(prod % fld.min_poly, fld.degree))
 
     __rmul__ = __mul__
 
@@ -205,7 +213,7 @@ class AlgebraicNumber:
         if g.degree != 0:
             raise BssError("field polynomial is not irreducible over Q")
         inv = s.scale(1 / g.coeff(0))
-        return AlgebraicNumber(fld, _pad(inv % fld.min_poly, fld.degree))
+        return AlgebraicNumber._of(fld, _pad(inv % fld.min_poly, fld.degree))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -303,7 +311,11 @@ def _pad(p: UniPoly, n: int) -> tuple[Fraction, ...]:
 
 
 def sign_at(value) -> int:
-    """Three-way sign of an exact value (Fraction, int, or AlgebraicNumber)."""
+    """Three-way sign of an exact value (int, Fraction, or AlgebraicNumber).
+    An int, the concrete interpreter's integral value, and a Fraction are
+    read directly; any other rational goes through Fraction."""
+    if type(value) is int:
+        return (value > 0) - (value < 0)
     if type(value) is Fraction:
         n = value.numerator
         return (n > 0) - (n < 0)

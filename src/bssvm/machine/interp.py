@@ -7,6 +7,18 @@ an oracle that cannot decide its query is an oracle_unsupported fault.
 Each executed instruction appends one step record: label, instruction,
 cells written (absolute), branch sign taken, oracle query and answer.
 
+Inside a run, every integral value is a Python int: the integral input
+cells, the ZERO window and the integral program constants start as ints,
+and ADD, SUB, MUL and an exact DIV of ints stay ints, so most steps of the
+enumerators pay for no gcd and allocate no Fraction.  Values are Fractions
+again where they leave run_concrete: the writes and the oracle query of each
+step record, the query handed to the oracle, and the output.  Dicts kept for
+one run map each int to its Fraction, starting from the program's own
+integral constants, and each int written to a cell to the writes tuple of
+that write.  So a value written again and again is converted once, and the
+records that write it share one tuple: fewer objects for the garbage
+collector to track.
+
 StepRecord is a typing.NamedTuple, not a dataclass: dataclasses.replace,
 asdict and fields do not apply to it, while its _replace, _asdict and
 _fields do, and a record compares equal to the plain tuple of its fields.
@@ -20,7 +32,7 @@ from typing import NamedTuple
 
 from ..errors import BssError, PoleError
 from ..exact import AlgebraicNumber, format_rational, sign_at
-from .core import (BLANK_READ, BUDGET_EXHAUSTED, DIVISION_BY_ZERO, FAULT,
+from .core import (BLANK_READ, BUDGET_EXHAUSTED, CONST, DIVISION_BY_ZERO, FAULT,
                    HALTED, ORACLE_UNSUPPORTED, check_budget, compile_program,
                    execute)
 from .oracle import Oracle, oracle_query
@@ -91,41 +103,89 @@ def initial_cells(program: Program, values, zero=Fraction(0)) -> dict:
     return cells
 
 
+class _Fractions(dict):
+    """int -> its Fraction, one per run: seeded with the program's
+    constants, any other int's Fraction built on first use."""
+
+    def __missing__(self, n: int) -> Fraction:
+        q = self[n] = Fraction(n)
+        return q
+
+
+def _public(values, fractions: _Fractions) -> tuple[Value, ...]:
+    return tuple([fractions[v] if type(v) is int else v for v in values])
+
+
+def _constant_fractions(program: Program) -> dict[int, Fraction]:
+    """Each integral constant of the program, as an int, mapped to the
+    program's own Fraction; built once per Program object and kept on it,
+    like its code table.  A run starts its _Fractions from it, so a short
+    run converts its constants without building a Fraction."""
+    table = program.__dict__.get("_constant_fractions")
+    if table is None:
+        table = program.__dict__["_constant_fractions"] = {
+            q.numerator: q for op, _, q, _, _ in compile_program(program)
+            if op == CONST and q.denominator == 1}
+    return table
+
+
 def run_concrete(program: Program, input_values, oracle: Oracle | None = None,
                  budget: int = DEFAULT_BUDGET) -> tuple[RunResult, Trace]:
     """Run to halt, fault, or budget exhaustion; always returns the trace."""
     check_budget(budget, "budget", 1)
     oracle = oracle if oracle is not None else Oracle.empty()
     values = normalize_input(program, input_values)
-    cells = initial_cells(program, values)
+    cells = initial_cells(program, [v.numerator if type(v) is Fraction and v.denominator == 1
+                                    else v for v in values], zero=0)
+    fractions = _Fractions(_constant_fractions(program))
+    written: dict[int, dict] = {}   # cell -> int -> its writes tuple
     steps: list[StepRecord] = []
     append, rows, new = steps.append, program.instructions, tuple.__new__
 
     def record(index, pc, writes, branch, oracle_event):
         label, instruction = rows[pc]
+        if writes:
+            ((cell, value),) = writes
+            if type(value) is int:
+                at = written.get(cell)
+                if at is None:
+                    at = written[cell] = {}
+                shared = at.get(value)
+                if shared is None:
+                    shared = at[value] = ((cell, fractions[value]),)
+                writes = shared
+        if oracle_event is not None:
+            oracle_event = (_public(oracle_event[0], fractions), oracle_event[1])
         # trusted constructor, like MultiPoly._of: one C-level tuple build
         append(new(StepRecord, (index, label, instruction, writes,
                                 branch and branch[1], oracle_event)))
 
     status, _, _, count, payload = execute(
         compile_program(program), cells, ConcreteDomain(oracle), budget, record=record)
-    result = RunResult(status, payload if status == HALTED else None, count,
-                       payload if status == FAULT else None)
+    result = RunResult(status, _public(payload, fractions) if status == HALTED else None,
+                       count, payload if status == FAULT else None)
     return result, Trace(program, values, oracle, steps, result)
 
 
 class ConcreteDomain:
-    """Exact values: every sign and oracle answer is decided."""
+    """Exact values: every sign and oracle answer is decided.  An integral
+    value may be an int (see the module docstring)."""
 
     def __init__(self, oracle: Oracle):
         self.oracle = oracle
 
     @staticmethod
-    def const(q: Fraction) -> Value:
-        return q
+    def const(q: Fraction) -> Value | int:
+        return q.numerator if q.denominator == 1 else q
 
     @staticmethod
-    def div(a: Value, b: Value) -> Value | None:
+    def div(a: Value | int, b: Value | int) -> Value | int | None:
+        if type(a) is int and type(b) is int:
+            # never a / b, which is a float
+            if not b:
+                return None
+            q = Fraction(a, b)
+            return q.numerator if q.denominator == 1 else q
         if sign_at(b) == 0:
             return None
         try:
@@ -135,8 +195,9 @@ class ConcreteDomain:
 
     sign = staticmethod(sign_at)
 
-    def ask(self, query: tuple[Value, ...]) -> bool:
-        return oracle_query(self.oracle, query)
+    def ask(self, query: tuple[Value | int, ...]) -> bool:
+        return oracle_query(self.oracle, tuple(Fraction(v) if type(v) is int else v
+                                               for v in query))
 
 
 # -- trace pretty printer --------------------------------------------------

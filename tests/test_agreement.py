@@ -4,14 +4,23 @@ The table below covers every opcode, and its runs end in each outcome: a
 halt after SHIFT with an OUTPUT whose range spans two frames, each fault
 kind, and budget exhaustion.  Each run is made three ways, by run_concrete,
 shadow_trace and explore_paths, and the three must tell the same story.
+
+run_concrete keeps integral values as ints inside a run; at the end of this
+file it is checked against the Fraction-only domain it replaced, on every
+library program.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from bssvm.exact import algebraic_equal, nth_root_field, rf_eval
+from bssvm.errors import PoleError
+from bssvm.exact import algebraic_equal, nth_root_field, rf_eval, sign_at
 from bssvm.machine import Oracle, initial_cells, parse_program, run_concrete
+from bssvm.machine.core import FAULT, HALTED, compile_program, execute
+from bssvm.machine.oracle import oracle_query
+from bssvm.stdlib import stdlib_names, stdlib_program
 from bssvm.symbolic import explore_paths, shadow_trace
 from bssvm.symbolic.shadow import input_functions
 
@@ -165,3 +174,112 @@ def test_shadow_cells_replay_the_concrete_run(text, oracle, values, status, faul
         assert set(functions) == set(cells)
         for cell, f in functions.items():
             assert algebraic_equal(rf_eval(f, values), cells[cell]), (i, cell)
+
+
+# -- the Fraction-only reference domain --------------------------------------
+
+class FractionDomain:
+    """The concrete domain as it was before integral values became ints:
+    every rational value is a Fraction throughout the run."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    @staticmethod
+    def const(q):
+        return q
+
+    @staticmethod
+    def div(a, b):
+        if sign_at(b) == 0:
+            return None
+        try:
+            return a / b
+        except (PoleError, ZeroDivisionError):
+            return None
+
+    sign = staticmethod(sign_at)
+
+    def ask(self, query):
+        return oracle_query(self.oracle, query)
+
+
+def reference_run(program, values, oracle, budget):
+    """(status, steps, output, fault kind, records) of execute over the
+    Fraction-only domain, each record (index, pc, writes, branch sign,
+    oracle event) as run_concrete records it."""
+    records = []
+
+    def record(index, pc, writes, branch, oracle_event):
+        records.append((index, pc, writes, branch and branch[1], oracle_event))
+
+    status, _, _, count, payload = execute(
+        compile_program(program), initial_cells(program, values),
+        FractionDomain(oracle), budget, record=record)
+    return (status, count, payload if status == HALTED else None,
+            payload if status == FAULT else None, records)
+
+
+def same(a, b) -> bool:
+    """Equal and of one type, elementwise through tuples: an int never
+    passes for the Fraction it equals."""
+    if type(a) is tuple:
+        return type(b) is tuple and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and a == b
+
+
+ORACLE_PROGRAMS = ("oracle_member", "always_zero", "eq_probe")
+REFERENCE_BUDGET = 2500
+
+
+def _reference_inputs(name, arity):
+    """Seeded rational inputs, integral and not, and inputs in Q(2^(1/3)):
+    the generator, elements with non-integer coordinates, and a rational
+    element of the cubic field."""
+    rng = random.Random(sum(map(ord, name)))
+    field, b = nth_root_field(2, 3)
+    algebraic = [b, b * b - 3, F(1, 2) * b + F(-7, 3), field.from_rational(4)]
+    points = []
+    for _ in range(4):
+        points.append(tuple(F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5)))
+                            for _ in range(arity)))
+    points.append(tuple(F(rng.randint(0, 40)) for _ in range(arity)))
+    for k in range(len(algebraic)):
+        points.append(tuple(algebraic[(k + i) % len(algebraic)] if i == arity - 1
+                            else F(rng.randint(-5, 5)) for i in range(arity)))
+    return points
+
+
+@pytest.mark.parametrize("name", stdlib_names())
+def test_run_concrete_agrees_with_the_fraction_domain(name):
+    program = stdlib_program(name)
+    oracle = Oracle.rationals() if name in ORACLE_PROGRAMS else Oracle.empty()
+    rows = program.instructions
+    for values in _reference_inputs(name, program.arity):
+        status, count, output, fault_kind, records = reference_run(
+            program, values, oracle, REFERENCE_BUDGET)
+        result, trace = run_concrete(program, values, oracle=oracle, budget=REFERENCE_BUDGET)
+        assert (result.status, result.steps, result.fault_kind) == (status, count, fault_kind)
+        assert same(result.output, output) if output is not None else result.output is None
+        assert len(trace.steps) == len(records)
+        for step, (index, pc, writes, sign, oracle_event) in zip(trace.steps, records):
+            assert (step.index, step.label, step.instruction) == (index, *rows[pc])
+            assert same(step.writes, writes), (values, index)
+            assert step.branch_sign == sign
+            assert same(step.oracle_event, oracle_event), (values, index)
+
+
+def test_reference_inputs_reach_every_outcome_and_the_oracle():
+    """The runs above halt, exhaust the budget, and ask the oracle on both
+    rational and irrational queries."""
+    statuses, answers = set(), set()
+    for name in stdlib_names():
+        program = stdlib_program(name)
+        oracle = Oracle.rationals() if name in ORACLE_PROGRAMS else Oracle.empty()
+        for values in _reference_inputs(name, program.arity):
+            result, trace = run_concrete(program, values, oracle=oracle,
+                                         budget=REFERENCE_BUDGET)
+            statuses.add(result.status)
+            answers.update(trace.oracle_history())
+    assert statuses >= {"halted", "budget_exhausted"}
+    assert answers == {True, False}

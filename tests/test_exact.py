@@ -250,11 +250,33 @@ def test_sign_at_rational_inputs():
     assert sign_at(F(5)) == 1
 
 
+def test_sign_at_int_inputs():
+    assert [sign_at(n) for n in (-4, 0, 9, -(10 ** 5000), 10 ** 5000)] == [-1, 0, 1, -1, 1]
+
+
 # -- field arithmetic --------------------------------------------------------
 
 def test_alpha_times_alpha_is_2(sqrt2_field):
     _, alpha = sqrt2_field
     assert algebraic_equal(alpha * alpha, F(2))
+
+
+def test_algebraic_number_checks_outside_callers_only(sqrt2_field):
+    field, alpha = sqrt2_field
+    # the public constructor checks the length and converts coordinates
+    for coords in ((F(1),), (1, 2, 3), ()):
+        with pytest.raises(BssError):
+            AlgebraicNumber(field, coords)
+    a = AlgebraicNumber(field, (1, "1/2"))
+    assert a.coords == (F(1), F(1, 2)) and all(type(c) is F for c in a.coords)
+    # arithmetic results come from the trusted constructor with the same shape
+    results = [a + 3, 3 + a, a - alpha, 3 - a, -a, a * alpha, a * 2, 2 * a,
+               a * F(1, 3), a.inverse(), a / (a + 1), 5 / a, a ** 3,
+               field.from_rational(7), field.generator()]
+    for r in results:
+        assert r.field is field and type(r.coords) is tuple and len(r.coords) == 2
+        assert all(type(c) is F for c in r.coords), r
+    assert algebraic_equal(a * a.inverse(), 1) and algebraic_equal(5 / a * a, 5)
 
 
 def test_rational_addition_in_field():

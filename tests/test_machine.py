@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from bssvm.errors import BssError, DslSyntaxError, ProgramError
-from bssvm.exact import nth_root_field
+from bssvm.exact import AlgebraicNumber, algebraic_equal, nth_root_field
 from bssvm.machine import (
     BLANK_READ,
     Arith,
@@ -30,7 +30,10 @@ from bssvm.machine import (
     run_concrete,
     trace_to_text,
 )
+from bssvm.machine.interp import ConcreteDomain
 from bssvm.stdlib import stdlib_names, stdlib_program
+from bssvm.symbolic import epsilon_certificate, extract_f, shadow_trace, verify_neighborhood
+from bssvm.witness import CONFIRMED, build_counterexample
 
 SGN_TEXT = """\
 PROGRAM sgn
@@ -280,6 +283,103 @@ def test_trace_text_format():
                for ln in lines[:-1])
     assert "branch=-1" in text  # the sign taken on input -3
     assert lines[-1].startswith("halted steps=3")
+
+
+# -- integral values inside a run -------------------------------------------
+
+def _public(v) -> bool:
+    return type(v) is F or isinstance(v, AlgebraicNumber)
+
+
+def assert_public(result, trace):
+    """Every value leaving run_concrete is a Fraction or an AlgebraicNumber:
+    never the int, bool or float a run may hold inside."""
+    for step in trace.steps:
+        assert all(_public(v) for _, v in step.writes), step
+        if step.oracle_event is not None:
+            assert all(_public(v) for v in step.oracle_event[0]), step
+    if result.output is not None:
+        assert all(_public(v) for v in result.output), result
+    assert all(_public(v) for v in trace.input)
+
+
+@pytest.mark.parametrize("name", stdlib_names())
+def test_values_leave_a_run_as_fractions(name):
+    prog = stdlib_program(name)
+    _, sqrt2 = nth_root_field(2, 2)
+    for first in (F(3), F(-1, 2), F(0), sqrt2):
+        values = (F(2), first)[-prog.arity:]
+        result, trace = run_concrete(prog, values, oracle=Oracle.rationals(), budget=3000)
+        assert_public(result, trace)
+
+
+def test_certificate_and_witness_values_are_fractions():
+    prog = stdlib_program("inv_shift")
+    trace = shadow_trace(prog, [F(2)])
+    cert = epsilon_certificate(extract_f(trace), trace.input)
+    report = verify_neighborhood(prog, None, trace, cert, samples=10, seed=2)
+    assert report.ok
+    assert all(_public(v) for v in (report.epsilon, *(c for s in report.samples for c in s.point)))
+    for name in ("oracle_member", "always_zero"):
+        report = build_counterexample(stdlib_program(name), Oracle.rationals(),
+                                      F(2), (F(5), F(7)))
+        assert report.verdict == CONFIRMED
+        assert all(_public(v) for v in (report.x1, report.b, report.x2, report.machine_output,
+                                        report.ground_truth, report.epsilon)), report
+
+
+def test_int_division_is_exact():
+    text = ("PROGRAM d\nARITY 0\none: CONST c0 1\nthree: CONST c1 3\n"
+            "third: DIV c2 c0 c1\nneg: CONST c3 -6\nexact: DIV c4 c3 c1\n"
+            "out: OUTPUT c2..c4\n")
+    result, trace = run_text(text)
+    assert_public(result, trace)
+    assert [s.writes for s in trace.steps] == [
+        ((0, F(1)),), ((1, F(3)),), ((2, F(1, 3)),), ((3, F(-6)),), ((4, F(-2)),), ()]
+    assert result.output == (F(1, 3), F(-6), F(-2))
+    # inside the run: an int quotient stays an int, and none is a float
+    div = ConcreteDomain.div
+    assert type(div(1, 3)) is F and div(1, 3) == F(1, 3)
+    assert type(div(-6, 3)) is int and div(-6, 3) == -2
+    assert div(-6, 0) is None and div(F(1, 2), 0) is None and div(0, F(0)) is None
+    assert type(div(7, F(1, 2))) is F and div(7, F(1, 2)) == 14
+    assert type(ConcreteDomain.const(F(4))) is int and ConcreteDomain.const(F(1, 2)) == F(1, 2)
+
+
+def test_repeated_int_writes_share_one_writes_tuple():
+    text = ("PROGRAM rep\nARITY 1\nstart: CONST c1 1\nagain: CONST c1 1\n"
+            "other: CONST c2 1\nin1: COPY c3 c0\nin2: COPY c3 c0\nout: OUTPUT c1..c3\n")
+    prog = parse_program(text)
+    _, trace = run_concrete(prog, [F(5)])
+    first, again, other, in1, in2 = (s.writes for s in trace.steps[:5])
+    assert first is again and first == ((1, F(1)),) and type(first[0][1]) is F
+    assert other == ((2, F(1)),) and other[0][1] is first[0][1]
+    # a constant is recorded as one of the program's own Fractions
+    assert any(first[0][1] is ins.value for _, ins in prog.instructions[:3])
+    # an integral input is an int inside the run too
+    assert in1 is in2 and in1 == ((3, F(5)),) and type(in1[0][1]) is F
+
+
+def test_int_zero_divisor_faults_at_the_division():
+    text = ("PROGRAM z\nARITY 1\nstart: CONST c1 2\nsub: SUB c2 c1 c1\n"
+            "add: ADD c3 c0 c1\ndiv: DIV c4 c3 c2\nout: OUTPUT c4..c4\n")
+    result, trace = run_text(text, F(5))
+    assert (result.status, result.fault_kind, result.steps) == (FAULT, DIVISION_BY_ZERO, 4)
+    assert [s.writes for s in trace.steps] == [((1, F(2)),), ((2, F(0)),), ((3, F(7)),), ()]
+    assert trace.steps[-1].label == "div"
+    assert_public(result, trace)
+
+
+def test_int_over_an_algebraic_number_and_back():
+    text = ("PROGRAM back\nARITY 1\nstart: CONST c1 5\nover: DIV c2 c1 c0\n"
+            "back: DIV c3 c1 c2\nout: OUTPUT c2..c3\n")
+    field, b = nth_root_field(2, 3)
+    x = b * b - F(1, 2) * b + 3
+    result, trace = run_text(text, x)
+    assert_public(result, trace)
+    over, back = result.output
+    assert isinstance(over, AlgebraicNumber) and algebraic_equal(over * x, 5)
+    assert isinstance(back, AlgebraicNumber) and back.field is field and back == x
 
 
 # -- oracle queries ----------------------------------------------------------

@@ -201,6 +201,23 @@ def test_run_prints_values_past_the_int_string_limit(tmp_path):
     assert proc.stdout.splitlines()[-1] == "output: (1)"
 
 
+def test_run_prints_int_cells_past_the_int_string_limit(capsys, tmp_path):
+    # 14 squarings of the constant 3 and a division by it, all inside the run
+    # as ints: 3^16383 has 7817 decimal digits
+    path = tmp_path / "cube.bss"
+    path.write_text("PROGRAM cube\nARITY 0\nstart: CONST c0 3\nthree: CONST c1 3\n"
+                    + "".join(f"m{i}: MUL c0 c0 c0\n" for i in range(14))
+                    + "div: DIV c2 c0 c1\nhalf: CONST c3 1/2\nq: MUL c3 c2 c3\n"
+                    + "out: OUTPUT c2..c3\n")
+    code, out, err = run_cli(capsys, "run", "--program", str(path), "--input", "()")
+    assert code == 0 and err == ""
+    whole, half = out.splitlines()[-1].removeprefix("output: (").removesuffix(")").split(", ")
+    n = 3 ** 16383
+    assert len(whole) == 7817 and 10 ** 7816 <= n < 10 ** 7817
+    assert int(whole[-9:]) == n % 10 ** 9
+    assert half == whole + "/2"
+
+
 # -- shadow and paths ---------------------------------------------------------
 
 def test_shadow_json_schema(capsys):
