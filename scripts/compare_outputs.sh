@@ -17,6 +17,9 @@
 # fields X^2 - 2/3 on [0, 1] (a non-integer coefficient) and X^2 - 2 on
 # [-2, -1] (a negative isolating interval).
 # One bss run --trace in text format prints a trace through trace_to_text.
+# bss stdlib, bss stdlib --emit for every program, bss cantor --decompose
+# 1/4 and bss cantor --member at a member (1/4) and a non-member (1/2) run
+# in both formats, so every subcommand's output is compared.
 # Every command's stdout, exit code and last line of stderr go to
 # OUT_DIR/old and OUT_DIR/new, and the script ends with diff -r of the two:
 # exit status 0 and no diff output mean identical outputs.  KEYS, a
@@ -25,6 +28,9 @@
 # the diff.
 
 field='a=X^2 - 2;1;2'
+programs='sgn sgn_decider interval_member even_zeros inv_shift cantor_cosemidecider
+  oracle_member always_zero eq_probe q_enumerator qx_enumerator
+  algebraic_semidecider dependence'
 # floor(sqrt(2) * 2^300) / 2^300
 r300=$(python3 -c 'from math import isqrt; print(f"{isqrt(2 << 600)}/{1 << 300}")')
 
@@ -79,9 +85,7 @@ for side in old new; do
   if [ $side = old ]; then tree=$1; else tree=$2; fi
   out=$3/$side
   mkdir -p "$out"
-  for p in sgn sgn_decider interval_member even_zeros inv_shift cantor_cosemidecider \
-           oracle_member always_zero eq_probe q_enumerator qx_enumerator \
-           algebraic_semidecider dependence; do
+  for p in $programs; do
     oracle=
     case $p in
       oracle_member|always_zero|eq_probe|dependence)
@@ -137,6 +141,16 @@ for side in old new; do
   done
   run algebraic_semidecider.run.trace text run --stdlib algebraic_semidecider --trace \
     --budget 2000 --field "$field" --input "(a:(1/3,1))"
+  # the subcommands that run no program
+  for format in json text; do
+    run stdlib $format stdlib
+    for p in $programs; do
+      run $p.emit $format stdlib --emit $p
+    done
+    run cantor.decompose $format cantor --decompose 1/4
+    run cantor.member $format cantor --member 1/4
+    run cantor.nonmember $format cantor --member 1/2
+  done
   if [ -n "$4" ]; then
     mask "$out" "$4"
   fi

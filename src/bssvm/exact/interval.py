@@ -1,15 +1,18 @@
-"""Closed intervals with exact rational endpoints.
+"""Closed intervals with exact rational endpoints, and term-by-term
+enclosures of polynomials over boxes.
 
-Used as enclosures for algebraic numbers: every operation returns an
-interval guaranteed to contain the exact result, with no rounding anywhere.
+A RatInterval is a plain exact value with no arithmetic of its own.
+power_hull is the one power rule: the tight bounds of [a, b]^k from a^k and
+b^k.  An enclosure sums, term by term, each coefficient times the hull of
+its power bounds, with no rounding, so it contains the exact value.
 
-A univariate polynomial is enclosed over a box term by term, and that
-enclosure runs in integers: the box is written as [a / d, b / d] over the
-lcm d of its endpoints' denominators, and the coefficients as nums[k] / e
-over the lcm e of theirs.  Each term's bound is then an integer over
-e * d^k, and the sums come out over the one denominator e * d^m.  The
-endpoints are the same exact rationals as the RatInterval arithmetic below
-gives term by term, and the sign-only form builds no Fraction at all.
+The univariate enclosure runs in integers: the box is written as
+[a / d, b / d] over the lcm d of its endpoints' denominators, and the
+coefficients as nums[k] / e over the lcm e of theirs.  Each term's bound is
+then an integer over e * d^k, and the sums come out over the one
+denominator e * d^m.  The endpoints are the same exact rationals as the
+rule gives in Fractions, as multipoly.interval_eval applies it, and the
+sign-only form builds no Fraction at all.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ..errors import BssError, PoleError
+from ..errors import BssError
 from .unipoly import integer_coeffs
 
 
@@ -56,41 +59,6 @@ class RatInterval:
             return 0
         return None
 
-    def __add__(self, other: RatInterval) -> RatInterval:
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self) -> RatInterval:
-        return RatInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other: RatInterval) -> RatInterval:
-        return RatInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: RatInterval) -> RatInterval:
-        prods = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return RatInterval(min(prods), max(prods))
-
-    def inverse(self) -> RatInterval:
-        if self.contains_zero():
-            raise PoleError("interval inverse across zero")
-        return RatInterval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other: RatInterval) -> RatInterval:
-        return self * other.inverse()
-
-    def pow(self, n: int) -> RatInterval:
-        """n-th power enclosure, tight for all signs (n >= 0)."""
-        if n < 0:
-            return self.inverse().pow(-n)
-        if n == 0:
-            return RatInterval.point(1)
-        if n % 2 == 1 or self.lo >= 0:
-            return RatInterval(self.lo ** n, self.hi ** n)
-        if self.hi <= 0:
-            return RatInterval(self.hi ** n, self.lo ** n)
-        # Even power of an interval straddling zero.
-        return RatInterval(0, max(self.lo ** n, self.hi ** n))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatInterval)
                 and self.lo == other.lo and self.hi == other.hi)
@@ -102,12 +70,23 @@ class RatInterval:
         return f"RatInterval({self.lo}, {self.hi})"
 
 
+def power_hull(pa, pb, k: int, a, b):
+    """(lo, hi), the tight bounds of [a, b]^k for k >= 0, from pa = a^k and
+    pb = b^k; a and b are ints or Fractions alike."""
+    if k % 2 == 1 or a >= 0 or k == 0:
+        return pa, pb
+    if b <= 0:
+        return pb, pa
+    # an even power of a box across 0 reaches down to 0
+    return 0, max(pa, pb)
+
+
 def _scaled_enclosure(nums, box: RatInterval) -> tuple[int, int, int]:
     """(lo, hi, d) with [lo / d^m, hi / d^m] the term-by-term enclosure over
     box of the polynomial with integer coefficients nums, m = len(nums) - 1.
 
-    Term k is nums[k] times the tight bounds of [a, b]^k, the power rule of
-    RatInterval.pow, and Horner's rule in d puts it over d^m."""
+    Term k is nums[k] times power_hull of [a, b]^k, and Horner's rule in d
+    puts it over d^m."""
     blo, bhi = box.lo, box.hi
     d = lcm(blo.denominator, bhi.denominator)
     a = blo.numerator * (d // blo.denominator)
@@ -122,14 +101,7 @@ def _scaled_enclosure(nums, box: RatInterval) -> tuple[int, int, int]:
             pb *= b
         if not c:
             continue
-        if k == 0:
-            plo = phi = 1
-        elif k % 2 == 1 or a >= 0:
-            plo, phi = pa, pb
-        elif b <= 0:
-            plo, phi = pb, pa
-        else:
-            plo, phi = 0, max(pa, pb)
+        plo, phi = power_hull(pa, pb, k, a, b)
         if c > 0:
             lo += c * plo
             hi += c * phi

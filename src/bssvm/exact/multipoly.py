@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from ..errors import BssError, PoleError
 from .rational import format_rational
-from .interval import RatInterval
+from .interval import RatInterval, power_hull
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
@@ -351,17 +351,27 @@ def mp_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 # -- interval evaluation ----------------------------------------------------
 
 def interval_eval(p: MultiPoly, boxes) -> RatInterval:
-    """Enclosure of p over a box per variable, term by term."""
+    """Enclosure of p over a box per variable, term by term: each term is
+    its coefficient times the hull of the products of its variables'
+    power_hull bounds, and the terms' bounds are summed in Fractions."""
     if len(boxes) != p.nvars:
         raise BssError("wrong number of interval arguments")
-    acc = RatInterval.point(0)
+    lo = hi = 0
     for e, c in p.terms.items():
-        ci = RatInterval.point(c)
+        tlo = thi = 1
         for box, k in zip(boxes, e):
             if k:
-                ci = ci * box.pow(k)
-        acc = acc + ci
-    return acc
+                a, b = box.lo, box.hi
+                plo, phi = power_hull(a ** k, b ** k, k, a, b)
+                prods = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+                tlo, thi = min(prods), max(prods)
+        if c > 0:
+            lo += c * tlo
+            hi += c * thi
+        else:
+            lo += c * thi
+            hi += c * tlo
+    return RatInterval(lo, hi)
 
 
 # -- rational functions -------------------------------------------------

@@ -283,23 +283,20 @@ class AlgebraicNumber:
         a, b = self._pair(other)
         return (a - b).sign() >= 0
 
-    def enclosure(self, max_width: Fraction | None = None) -> RatInterval:
-        """Evaluation over the isolating interval, or over the first schedule
-        box at most max_width / L wide, where L = sum k |c_k| M^(k-1) bounds
-        the evaluation's width per unit box width on boxes inside [-M, M]."""
-        if max_width is not None and max_width <= 0:
+    def enclosure(self, max_width: Fraction) -> RatInterval:
+        """Evaluation over the first box of the field's refinement schedule
+        whose own evaluation is at most max_width wide.  The boxes are
+        nested, so their evaluation widths only shrink along the schedule
+        and bisection over the boxes built finds the first one."""
+        if max_width <= 0:
             raise BssError(f"enclosure width must be positive, got {max_width}")
         if self.is_rational():
             return RatInterval.point(self.coords[0])
-        fld, box = self.field, self.field.interval
-        if max_width is not None:
-            m = max(abs(box.lo), abs(box.hi))
-            lip = sum(k * abs(c) * m ** (k - 1) for k, c in enumerate(self.coords) if k)
-            narrow = lambda b: b.width() * lip <= max_width
-            while not narrow(fld._boxes[-1]):
-                fld.refine()
-            box = fld._boxes[bisect_left(fld._boxes, True, key=narrow)]
-        return eval_unipoly_interval(self.coords, box)
+        fld, coords = self.field, self.coords
+        narrow = lambda b: eval_unipoly_interval(coords, b).width() <= max_width
+        while not narrow(fld._boxes[-1]):
+            fld.refine()
+        return eval_unipoly_interval(coords, fld._boxes[bisect_left(fld._boxes, True, key=narrow)])
 
     def __repr__(self) -> str:
         return f"AlgebraicNumber({UniPoly(self.coords)})"

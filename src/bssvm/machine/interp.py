@@ -12,10 +12,11 @@ cells, the ZERO window and the integral program constants start as ints,
 and ADD, SUB, MUL and an exact DIV of ints stay ints, so most steps of the
 enumerators pay for no gcd and allocate no Fraction.  Values are Fractions
 again where they leave run_concrete: the writes and the oracle query of each
-step record, the query handed to the oracle, and the output.  Dicts kept for
-one run map each int to its Fraction, starting from the program's own
-integral constants, and each int written to a cell to the writes tuple of
-that write.  So a value written again and again is converted once, and the
+step record, and the output.  The query goes to oracle_query as it is, ints
+included, and oracle_query converts it once.  Dicts kept for one run map
+each int to its Fraction, starting from the program's own integral
+constants, and each int written to a cell to the writes tuple of that
+write.  So a value written again and again is converted once, and the
 records that write it share one tuple: fewer objects for the garbage
 collector to track.
 
@@ -196,8 +197,7 @@ class ConcreteDomain:
     sign = staticmethod(sign_at)
 
     def ask(self, query: tuple[Value | int, ...]) -> bool:
-        return oracle_query(self.oracle, tuple(Fraction(v) if type(v) is int else v
-                                               for v in query))
+        return oracle_query(self.oracle, query)
 
 
 # -- trace pretty printer --------------------------------------------------

@@ -112,6 +112,8 @@ def _degree(v: Value) -> int:
 
 
 def oracle_query(oracle: Oracle, values: tuple) -> bool:
+    """The oracle's answer for values; an int coordinate is read as its
+    Fraction."""
     values = tuple(_normalize_value(v) for v in values)
     kind = oracle.kind
     if kind == "rationals":

@@ -3,10 +3,10 @@
 A halted run's behavior is locally constant: the nonconstant functions it
 branched or queried on (the F set) keep their signs on a small box around
 the input, so every point in the box takes the same path and outputs the
-same functions of its coordinates.  epsilon_certificate finds such a box by
-interval arithmetic, starting at half-width 1 and halving until every
-numerator and denominator enclosure excludes zero; verify_neighborhood then
-attacks the certificate with concrete sample runs.
+same functions of its coordinates.  epsilon_certificate finds such a box
+with interval_eval's term-by-term enclosures, starting at half-width 1 and
+halving until every numerator and denominator enclosure excludes zero;
+verify_neighborhood then attacks the certificate with concrete sample runs.
 """
 
 from __future__ import annotations

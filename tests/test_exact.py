@@ -408,6 +408,27 @@ def test_enclosure_narrows_to_requested_width(sqrt2_field):
     assert box.lo < F(24143, 10000) and box.hi > F(24142, 10000)
 
 
+@pytest.mark.parametrize("poly, lo, hi, coords", [
+    ("X^3 - X - 1", 1, 2, (F(2, 3), -1, 5)),
+    ("X^2 - 2", 1, 2, (F(1, 3), 1)),
+    ("X^5 - 2", 1, 2, (F(2, 3), -1, 5, 0, F(1, 2))),
+])
+def test_enclosure_uses_the_shallowest_box_narrow_enough(poly, lo, hi, coords):
+    # each enclosure is the evaluation over the first schedule box whose own
+    # evaluation is at most the width wide, not over a deeper box; the
+    # widths go down to 2^-58 and back, so the way back finds its boxes in
+    # a schedule already built
+    field = NumberField(UniPoly.parse(poly), RatInterval(lo, hi))
+    a = AlgebraicNumber(field, tuple(F(c) for c in coords))
+    for bits in [*range(1, 59), *range(58, 0, -1)]:
+        width = F(1, 1 << bits)
+        enc = a.enclosure(width)
+        first = next(e for e in (eval_unipoly_interval(a.coords, box)
+                                 for box in field._boxes)
+                     if e.width() <= width)
+        assert enc == first, bits
+
+
 def test_sign_agrees_with_narrow_enclosure():
     # 100-digit refinement never contradicts the exact sign
     hundred = F(1, 10 ** 100)
@@ -495,7 +516,7 @@ def test_enclosure_rejects_a_nonpositive_width(sqrt2_field):
             alpha.enclosure(width)
 
 
-# -- interval arithmetic -----------------------------------------------------
+# -- interval enclosures ----------------------------------------------------
 
 def test_interval_eval_constant():
     box = interval_eval(MultiPoly.constant(3, 1), [RatInterval(0, 1)])

@@ -418,6 +418,22 @@ def test_oracle_finite_coherence():
         assert oracle_query(oracle, t) is False
 
 
+@pytest.mark.parametrize("oracle, query, want", [
+    (Oracle.rationals(), (3, -2), True),
+    (Oracle.degree_eq(1), (4,), True),
+    (Oracle.degree_leq(2), (4,), True),
+    (Oracle.cantor(), (0,), True),
+    (Oracle.cantor(), (1,), True),
+    (Oracle.finite([(1, 2)]), (1, 2), True),
+    (Oracle.algebraic(), (3, -2), True),
+    (Oracle.empty(), (3, -2), False),
+])
+def test_oracle_query_accepts_int_coordinates(oracle, query, want):
+    # the concrete domain hands its integral values to the oracle as ints
+    assert oracle_query(oracle, query) is want
+    assert ConcreteDomain(oracle).ask(query) is want
+
+
 def test_oracle_empty_and_cantor_unsupported():
     assert oracle_query(Oracle.empty(), (F(1),)) is False
     _, sqrt2 = nth_root_field(2, 2)

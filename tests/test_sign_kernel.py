@@ -2,24 +2,30 @@
 
 Enclosures, Horner values, Sturm sign variations and quadratic interval
 refinement steps run in integers over a common denominator.  The reference
-implementations below are the term-by-term RatInterval enclosure, the
-Fraction Horner evaluation and the Fraction qir_step, and every comparison
-asks for the same exact rationals, not close ones.
+implementations below are a term-by-term enclosure in Fractions, written
+from the extremes of each power and each product of powers rather than with
+the library's power rule, the Fraction Horner evaluation and the Fraction
+qir_step, and every comparison asks for the same exact rationals, not close
+ones.  The same enclosure reference checks multipoly.interval_eval, which
+applies the power rule in Fractions.
 """
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
 from bssvm.errors import BssError
 from bssvm.exact import (
+    MultiPoly,
     NumberField,
     RatInterval,
     UniPoly,
     eval_unipoly_interval,
+    interval_eval,
     nth_root_field,
     qir_step,
     refine_interval,
@@ -33,11 +39,27 @@ from bssvm.exact.sturm import _round_half_even
 
 # -- the Fraction reference --------------------------------------------------
 
+def ref_power_bounds(lo, hi, k):
+    """[lo, hi]^k from the extremes of x^k on the box: its two ends, and 0
+    when the box crosses 0 and k > 0."""
+    values = [lo ** k, hi ** k] + ([F(0)] if k and lo < 0 < hi else [])
+    return min(values), max(values)
+
+
+def ref_terms_enclosure(terms, boxes):
+    """Sum over the (exponents, coefficient) terms of the extremes of the
+    coefficient times each product of one power bound per variable."""
+    lo = hi = F(0)
+    for e, c in terms:
+        bounds = [ref_power_bounds(box.lo, box.hi, k) for box, k in zip(boxes, e)]
+        products = [c * prod(choice) for choice in itertools.product(*bounds)]
+        lo += min(products)
+        hi += max(products)
+    return RatInterval(lo, hi)
+
+
 def ref_enclosure(coeffs, box):
-    acc = RatInterval.point(0)
-    for k, c in enumerate(coeffs):
-        acc = acc + RatInterval.point(c) * box.pow(k)
-    return acc
+    return ref_terms_enclosure([((k,), c) for k, c in enumerate(coeffs)], [box])
 
 
 def ref_eval(p, x):
@@ -161,6 +183,24 @@ def test_enclosure_edge_cases(coeffs, box, want):
     assert ref_enclosure(coeffs, box) == want
     assert eval_unipoly_interval(coeffs, box) == want
     assert sign_unipoly_interval(coeffs, box) == want.sign()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_interval_eval_matches_the_term_by_term_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        terms = {tuple(rng.randint(0, 4) for _ in range(nvars)): _rational(rng)
+                 for _ in range(rng.randint(1, 5))}
+        p = MultiPoly(nvars, terms)
+        kinds = [list(_boxes(rng)) for _ in range(nvars)]
+        # each box kind in every variable at once, then mixed kinds
+        choices = list(zip(*kinds)) + [tuple(rng.choice(k) for k in kinds)
+                                       for _ in range(4)]
+        for boxes in choices:
+            want = ref_terms_enclosure(p.terms.items(), boxes)
+            got = interval_eval(p, list(boxes))
+            assert (got.lo, got.hi) == (want.lo, want.hi), (p, boxes)
 
 
 def test_sign_is_zero_only_on_a_zero_point_enclosure():
