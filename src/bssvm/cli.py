@@ -37,6 +37,7 @@ from .machine import (
 )
 from .serialize import (
     _ENCLOSURE_WIDTH,
+    FunctionStrings,
     cantor_to_json,
     certificate_to_json,
     shadow_to_json,
@@ -298,17 +299,18 @@ def cmd_paths(args) -> int:
                          oracle_policy=args.oracle_policy, oracle=oracle)
 
     def lines():
+        text = FunctionStrings()
         yield f"program: {program.name}"
         yield f"leaves: {len(tree.leaves)}"
         for leaf in tree.leaves:
-            conds = ", ".join(f"sign({f}) = {s}" for f, s in leaf.condition.constraints)
+            conds = ", ".join(f"sign({text[f]}) = {s}" for f, s in leaf.condition.constraints)
             extra = ""
             if leaf.condition.oracle_assumptions:
-                asm = "; ".join(f"oracle({', '.join(map(str, fns))}) = {ans}"
+                asm = "; ".join(f"oracle({', '.join(text[f] for f in fns)}) = {ans}"
                                 for fns, ans in leaf.condition.oracle_assumptions)
                 extra = f" assuming {asm}"
             outs = ("" if leaf.outputs is None
-                    else " output (" + ", ".join(str(f) for f in leaf.outputs) + ")")
+                    else " output (" + ", ".join(text[f] for f in leaf.outputs) + ")")
             mz = " [measure-zero]" if leaf.measure_zero else ""
             fk = f" ({leaf.fault_kind})" if leaf.fault_kind else ""
             yield (f"  [{' '.join(leaf.history) or 'root'}] {leaf.outcome}{fk}:"

@@ -117,7 +117,17 @@ def shadow_to_json(trace: SymbolicTrace,
     return out
 
 
+class FunctionStrings(dict):
+    """str(f) of each function, formatted once: one per printed document.
+    A path tree's functions are interned, so a lookup is an identity compare."""
+
+    def __missing__(self, f) -> str:
+        text = self[f] = str(f)
+        return text
+
+
 def tree_to_json(tree: PathTree) -> dict:
+    text = FunctionStrings()
     return {
         "kind": "path_tree",
         "program": tree.program.name,
@@ -127,14 +137,14 @@ def tree_to_json(tree: PathTree) -> dict:
         "leaves": [
             {
                 "history": list(leaf.history),
-                "constraints": [[str(f), s] for f, s in leaf.condition.constraints],
+                "constraints": [[text[f], s] for f, s in leaf.condition.constraints],
                 "oracle_assumptions": [
-                    [[str(f) for f in fns], ans]
+                    [[text[f] for f in fns], ans]
                     for fns, ans in leaf.condition.oracle_assumptions
                 ],
                 "outcome": leaf.outcome,
                 "outputs": None if leaf.outputs is None
-                else [str(f) for f in leaf.outputs],
+                else [text[f] for f in leaf.outputs],
                 "fault_kind": leaf.fault_kind,
                 "measure_zero": leaf.measure_zero,
                 "forks_used": leaf.forks_used,

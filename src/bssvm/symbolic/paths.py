@@ -26,16 +26,27 @@ under "split", where no generic assumption is appended, so the k-th yes/no
 arm is condition.oracle_assumptions[k].
 
 Paths run on the execution core (machine/core.py) over rational functions.
+One call interns every function it makes and remembers its arithmetic: a
+canon dict maps each function to the one object that stands for it, and a
+memo maps (op, f, g) to the interned op(f, g).  ARITH rows run through a
+per-call copy of the code table whose operators look the memo up first, and
+the domain's const and div use the same memo.  The input cells are interned
+and every result is, so all cell values, BRANCH payloads and oracle queries
+are canonical: equal functions in one tree are one object, and a memo hit
+is an identity compare.  Both dicts are locals of explore_paths and die when
+it returns; the table compile_program caches on the Program is not changed,
+and two calls share nothing.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import BssError
 from ..exact import (MultiPoly, RationalFunction, UniPoly, rf_eval, sign_at)
-from ..machine.core import (BRANCH, BUDGET_EXHAUSTED, FAULT, FORK, HALTED,
+from ..machine.core import (ARITH, BRANCH, BUDGET_EXHAUSTED, FAULT, FORK, HALTED,
                             check_budget, compile_program, execute)
 from ..machine.oracle import GENERIC_ANSWER, Oracle, oracle_query
 from ..machine.program import VAR_ARITY, Program
@@ -118,34 +129,57 @@ class PathTree:
         return tuple(l for l in self.leaves if l.outcome == "halted")
 
 
+def _memoiser(memo: dict, canon: dict):
+    """memoised(op) wraps a two-argument op: op(f, g) is computed once per
+    (op, f, g) and kept in memo, each result interned through canon."""
+    get, intern = memo.get, canon.setdefault
+
+    def memoised(op):
+        def apply(f, g):
+            key = (op, f, g)
+            value = get(key)
+            if value is None:
+                value = op(f, g)
+                value = memo[key] = intern(value, value)
+            return value
+        return apply
+    return memoised
+
+
 class _PathDomain:
     """Rational functions of the inputs: a sign or an oracle answer is
     decided when the function is constant or the path pins it in signs or
     assumptions.  With generic set, an open oracle answer is the generic
-    one, no (GENERIC_ANSWER), and it is appended to assumptions."""
+    one, no (GENERIC_ANSWER), and it is appended to assumptions.  One domain
+    serves one explore_paths call, which sets signs and assumptions to those
+    of each state before running it; const and div build through the call's
+    memo."""
 
-    def __init__(self, oracle: Oracle, nvars: int, signs: dict, assumptions: tuple,
-                 generic: bool):
+    def __init__(self, oracle: Oracle, nvars: int, generic: bool, memoised):
         self.oracle = oracle
         self.nvars = nvars
-        self.signs = signs
-        self.assumptions = assumptions
         self.generic = generic
+        self.signs: dict = {}
+        self.assumptions: tuple = ()
+        self._constant = memoised(RationalFunction.constant)
+        self._quotient = memoised(operator.truediv)
 
     def const(self, q: Fraction) -> RationalFunction:
-        return RationalFunction.constant(q, self.nvars)
+        return self._constant(q, self.nvars)
 
     def div(self, fa: RationalFunction, fb: RationalFunction) -> RationalFunction | None:
         if fb.is_zero() or self.signs.get(fb) == 0:
             return None
         # a nonconstant divisor with unknown sign is taken as nonzero; the
         # zero fiber is measure zero
-        return fa / fb
+        return self._quotient(fa, fb)
 
     def sign(self, f: RationalFunction) -> int | None:
-        if f.is_constant():
+        # a constant never forks, so it is never in signs
+        s = self.signs.get(f)
+        if s is None and f.is_constant():
             return sign_at(f.constant_value())
-        return self.signs.get(f)
+        return s
 
     def ask(self, fns: tuple[RationalFunction, ...]) -> bool | None:
         if all(f.is_constant() for f in fns):
@@ -178,17 +212,22 @@ def explore_paths(program: Program, arity: int | None = None,
     elif program.arity != VAR_ARITY and arity != program.arity:
         raise BssError(f"program {program.name} has arity {program.arity}, got {arity}")
     oracle = oracle if oracle is not None else Oracle.empty()
-    code = compile_program(program)
+    canon: dict[RationalFunction, RationalFunction] = {}
+    memoised = _memoiser({}, canon)
+    code = tuple((op, a, b, c, memoised(d)) if op == ARITH else (op, a, b, c, d)
+                 for op, a, b, c, d in compile_program(program))
+    domain = _PathDomain(oracle, arity, oracle_policy == "generic", memoised)
+    cells = {i: canon.setdefault(f, f) for i, f in input_functions(program, arity).items()}
     leaves: list[PathLeaf] = []
 
     # a state is (pc, offset, cells, constraints, signs, assumptions, history,
     # forks); signs indexes constraints and is never mutated, so oracle arms
     # share it
-    stack = [(0, 0, input_functions(program, arity), (), {}, (), (), 0)]
+    stack = [(0, 0, cells, (), {}, (), (), 0)]
     while stack:
         pc, offset, cells, constraints, signs, assumptions, history, forks = stack.pop()
         # STEP_CAP counts the instructions since the last fork
-        domain = _PathDomain(oracle, arity, signs, assumptions, oracle_policy == "generic")
+        domain.signs, domain.assumptions = signs, assumptions
         status, pc, offset, _, payload = execute(code, cells, domain, STEP_CAP, pc, offset)
         assumptions = domain.assumptions
         if status == FORK and forks < depth_budget:

@@ -254,6 +254,51 @@ def test_paths_text_lists_leaves(capsys):
     assert "leaves: 7" in out and out.count("halted:") == 7
 
 
+@pytest.mark.parametrize("name,policy,depth,oracle", [
+    ("cantor_cosemidecider", "generic", 5, []),
+    ("oracle_member", "split", 12, ["--oracle", "rationals"]),
+])
+def test_paths_formats_each_distinct_function_once(capsys, monkeypatch,
+                                                   name, policy, depth, oracle):
+    # both printed forms of a tree call RationalFunction.__str__ once per
+    # distinct function, however many leaves refer to it
+    from bssvm.exact import RationalFunction
+    from bssvm.machine import Oracle
+    from bssvm.serialize import tree_to_json
+    from bssvm.symbolic import explore_paths
+
+    tree = explore_paths(stdlib_program(name), oracle_policy=policy, depth_budget=depth,
+                         oracle=Oracle.rationals() if oracle else None)
+    refs = [f for leaf in tree.leaves
+            for f in ([g for g, _ in leaf.condition.constraints]
+                      + [g for fns, _ in leaf.condition.oracle_assumptions for g in fns]
+                      + list(leaf.outputs or ()))]
+    distinct = len(set(refs))
+    assert len(refs) > distinct
+    calls = []
+    original = RationalFunction.__str__
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(RationalFunction, "__str__", counted)
+    doc = tree_to_json(tree)
+    assert len(calls) == distinct
+    for leaf, entry in zip(tree.leaves, doc["leaves"]):
+        assert entry["constraints"] == [[original(f), s] for f, s in leaf.condition.constraints]
+        assert entry["oracle_assumptions"] == [
+            [[original(f) for f in fns], answer]
+            for fns, answer in leaf.condition.oracle_assumptions]
+        assert entry["outputs"] == (None if leaf.outputs is None
+                                    else [original(f) for f in leaf.outputs])
+    calls.clear()
+    code, out, _ = run_cli(capsys, "paths", "--stdlib", name, "--oracle-policy", policy,
+                           "--depth", str(depth), *oracle)
+    assert code == 0 and f"leaves: {len(tree.leaves)}" in out
+    assert len(calls) == distinct
+
+
 # -- certify -------------------------------------------------------------------
 
 def test_certify_sgn_spec_line(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import operator
 import random
 from fractions import Fraction as F
 
@@ -18,9 +19,14 @@ from bssvm.exact import (
 )
 from bssvm.machine import (Arith, Branch, Const, Oracle, OracleCall, parse_program,
                            run_concrete)
+from bssvm.machine.core import (ARITH, BRANCH, BUDGET_EXHAUSTED, FAULT, FORK, HALTED,
+                                compile_program, execute)
+from bssvm.machine.oracle import GENERIC_ANSWER, oracle_query
 from bssvm.stdlib import stdlib_names, stdlib_program
 from bssvm.symbolic import (
+    STEP_CAP,
     PathCondition,
+    PathLeaf,
     PathTree,
     as_unipoly,
     boundary_report,
@@ -585,6 +591,128 @@ def test_path_tree_nodes_derived_from_the_leaves_match_the_stored_ones(
 def test_path_tree_stores_only_its_leaves():
     assert [f.name for f in dataclasses.fields(PathTree)] == [
         "program", "arity", "depth_budget", "leaves"]
+
+
+# -- the unmemoised reference explorer ---------------------------------------
+
+class ReferenceDomain:
+    """The path domain as it was before explore_paths interned its
+    functions: every const, quotient and sign is computed afresh."""
+
+    def __init__(self, oracle, nvars, signs, assumptions, generic):
+        self.oracle = oracle
+        self.nvars = nvars
+        self.signs = signs
+        self.assumptions = assumptions
+        self.generic = generic
+
+    def const(self, q):
+        return RationalFunction.constant(q, self.nvars)
+
+    def div(self, fa, fb):
+        if fb.is_zero() or self.signs.get(fb) == 0:
+            return None
+        return fa / fb
+
+    def sign(self, f):
+        if f.is_constant():
+            return sign_at(f.constant_value())
+        return self.signs.get(f)
+
+    def ask(self, fns):
+        if all(f.is_constant() for f in fns):
+            return oracle_query(self.oracle, tuple(f.constant_value() for f in fns))
+        for g, a in self.assumptions:
+            if g == fns:
+                return a
+        if not self.generic:
+            return None
+        self.assumptions += ((fns, GENERIC_ANSWER),)
+        return GENERIC_ANSWER
+
+
+def reference_tree(program, oracle_policy, depth_budget, oracle):
+    """explore_paths without interning or memo: the compiled code table as
+    it is, and a fresh domain per state."""
+    arity = program.arity
+    code = compile_program(program)
+    signs_arm = {-1: "-1", 0: "0", 1: "+1"}
+    leaves = []
+    stack = [(0, 0, input_functions(program, arity), (), {}, (), (), 0)]
+    while stack:
+        pc, offset, cells, constraints, signs, assumptions, history, forks = stack.pop()
+        domain = ReferenceDomain(oracle, arity, signs, assumptions,
+                                 oracle_policy == "generic")
+        status, pc, offset, _, payload = execute(code, cells, domain, STEP_CAP, pc, offset)
+        assumptions = domain.assumptions
+        if status == FORK and forks < depth_budget:
+            op, _, targets, yes, no = code[pc]
+            if op == BRANCH:
+                for s in (1, 0, -1):
+                    stack.append((targets[s + 1], offset, dict(cells),
+                                  constraints + ((payload, s),), {**signs, payload: s},
+                                  assumptions, history + (signs_arm[s],), forks + 1))
+            else:
+                for target, answer, arm in ((no, False, "no"), (yes, True, "yes")):
+                    stack.append((target, offset, dict(cells), constraints, signs,
+                                  assumptions + ((payload, answer),), history + (arm,),
+                                  forks + 1))
+            continue
+        if status == FORK:
+            status = BUDGET_EXHAUSTED
+        leaves.append(PathLeaf(history, PathCondition(constraints, assumptions), status,
+                               payload if status == HALTED else None,
+                               payload if status == FAULT else None,
+                               any(s == 0 for _, s in constraints), forks))
+    return PathTree(program, arity, depth_budget, tuple(leaves))
+
+
+ORACLE_PROGRAMS = ("oracle_member", "always_zero", "eq_probe")
+
+
+def tree_functions(tree):
+    """Every function a tree's leaves hold, one entry per reference."""
+    for leaf in tree.leaves:
+        yield from (f for f, _ in leaf.condition.constraints)
+        for fns, _ in leaf.condition.oracle_assumptions:
+            yield from fns
+        yield from leaf.outputs or ()
+
+
+@pytest.mark.parametrize("policy", ["generic", "split"])
+@pytest.mark.parametrize("name", stdlib_names())
+def test_explore_paths_matches_the_unmemoised_reference(name, policy):
+    program = stdlib_program(name)
+    oracle = Oracle.rationals() if name in ORACLE_PROGRAMS else Oracle.empty()
+    tree = explore_paths(program, oracle_policy=policy, depth_budget=6, oracle=oracle)
+    assert tree == reference_tree(program, policy, 6, oracle)
+
+
+def test_equal_functions_in_one_tree_are_one_object():
+    for name, policy in (("cantor_cosemidecider", "generic"), ("qx_enumerator", "generic"),
+                         ("eq_probe", "split"), ("dependence", "generic")):
+        tree = explore_paths(stdlib_program(name), oracle_policy=policy, depth_budget=5)
+        canon, refs = {}, 0
+        for f in tree_functions(tree):
+            assert canon.setdefault(f, f) is f, (name, str(f))
+            refs += 1
+        assert refs > len(canon), name
+    # the reference explorer builds equal functions as distinct objects
+    tree = reference_tree(stdlib_program("cantor_cosemidecider"), "generic", 5,
+                          Oracle.empty())
+    assert len({id(f) for f in tree_functions(tree)}) > len(set(tree_functions(tree)))
+
+
+def test_two_calls_share_no_functions_and_leave_the_code_table_alone():
+    program = stdlib_program("cantor_cosemidecider")
+    code = compile_program(program)
+    first, second = (explore_paths(program, depth_budget=5) for _ in range(2))
+    assert first == second
+    ids = {id(f) for f in tree_functions(first)}
+    assert not ids & {id(f) for f in tree_functions(second)}
+    assert compile_program(program) is code
+    operators = {d for op, _, _, _, d in code if op == ARITH}
+    assert operators and operators <= {operator.add, operator.sub, operator.mul}
 
 
 @pytest.mark.parametrize("policy", ["generic", "split"])
