@@ -233,7 +233,10 @@ def fail_record(args, kind: str, detail: str) -> int:
 
 def cmd_run(args) -> int:
     program, oracle, values = run_setup(args)
-    result, trace = run_concrete(program, values, oracle=oracle, budget=args.budget)
+    # only --trace and the JSON form print the steps
+    level = "full" if args.trace or args.format == "json" else "decisions"
+    result, trace = run_concrete(program, values, oracle=oracle, budget=args.budget,
+                                 trace=level)
 
     def lines():
         if args.trace:

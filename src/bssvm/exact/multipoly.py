@@ -428,7 +428,8 @@ class RationalFunction:
 
     @classmethod
     def var(cls, index: int, nvars: int) -> RationalFunction:
-        return cls(MultiPoly.var(index, nvars))
+        # Y_i over 1 is already canonical
+        return cls._of(MultiPoly.var(index, nvars), _one(nvars))
 
     @property
     def nvars(self) -> int:
@@ -498,6 +499,8 @@ class RationalFunction:
 
 def rf_eval(rf: RationalFunction, values):
     """Exact evaluation; raises PoleError on a vanishing denominator."""
+    if _is_one(rf.den):
+        return rf.num.eval(values)
     den = rf.den.eval(values)
     if den == 0:
         raise PoleError("evaluation hits a pole")

@@ -4,21 +4,31 @@ The declared ZERO window (absolute, at offset 0) and the input cells 0..k-1
 are pre-written.  Division by an exact zero is a division_by_zero fault, and
 an oracle that cannot decide its query is an oracle_unsupported fault.
 
-Each executed instruction appends one step record: label, instruction,
-cells written (absolute), branch sign taken, oracle query and answer.
+A run keeps one of two trace levels.  At "full", the default, each
+executed instruction appends one step record: label, instruction, cells
+written (absolute), branch sign taken, oracle query and answer.  At
+"decisions" the run keeps only its branch signs and oracle answers, in run
+order, and Trace.steps is empty.  That level calls execute with no record
+callback, over a ConcreteDomain whose sign and ask append each answer they
+give.  It is exact: execute calls sign only at a BRANCH and ask only at an
+ORACLE, each call's answer is the one a full trace records at that step,
+and the concrete domain never leaves a sign or an answer open.  A query
+the oracle cannot decide raises before anything is appended, just as a
+full trace records no oracle event on that fault.
 
 Inside a run, every integral value is a Python int: the integral input
 cells, the ZERO window and the integral program constants start as ints,
 and ADD, SUB, MUL and an exact DIV of ints stay ints, so most steps of the
 enumerators pay for no gcd and allocate no Fraction.  Values are Fractions
-again where they leave run_concrete: the writes and the oracle query of each
-step record, and the output.  The query goes to oracle_query as it is, ints
-included, and oracle_query converts it once.  Dicts kept for one run map
-each int to its Fraction, starting from the program's own integral
-constants, and each int written to a cell to the writes tuple of that
-write.  So a value written again and again is converted once, and the
+again where they leave run_concrete: the writes and the oracle query of
+each full step record, and the output.  The query goes to oracle_query as
+it is, ints included, and oracle_query converts it once.  Dicts kept for
+one run map each int to its Fraction, starting from the program's own
+integral constants, and each int written to a cell to the writes tuple of
+that write.  So a value written again and again is converted once, and the
 records that write it share one tuple: fewer objects for the garbage
-collector to track.
+collector to track.  A decisions-level run converts only its output: its
+int -> Fraction dict starts empty, and it keeps no writes tuples.
 
 StepRecord is a typing.NamedTuple, not a dataclass: dataclasses.replace,
 asdict and fields do not apply to it, while its _replace, _asdict and
@@ -27,7 +37,7 @@ _fields do, and a record compares equal to the plain tuple of its fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -42,6 +52,10 @@ from .program import Instruction, Program, VAR_ARITY, format_instruction
 Value = Fraction | AlgebraicNumber
 
 DEFAULT_BUDGET = 10**5
+
+FULL = "full"
+DECISIONS = "decisions"
+TRACE_LEVELS = (FULL, DECISIONS)
 
 
 @dataclass(frozen=True)
@@ -76,12 +90,26 @@ class Trace:
     oracle: Oracle
     steps: list[StepRecord]
     result: RunResult
+    # (branch signs, oracle answers) of a decisions-level run, whose steps
+    # are empty; None for a full trace
+    decisions: tuple[list[int], list[bool]] | None = field(default=None, repr=False)
 
     def branch_history(self) -> tuple[int, ...]:
+        if self.decisions is not None:
+            return tuple(self.decisions[0])
         return tuple(s.branch_sign for s in self.steps if s.branch_sign is not None)
 
     def oracle_history(self) -> tuple[bool, ...]:
+        if self.decisions is not None:
+            return tuple(self.decisions[1])
         return tuple(s.oracle_event[1] for s in self.steps if s.oracle_event is not None)
+
+
+def require_full(trace: Trace) -> None:
+    """Reject a trace that kept only its decisions where steps are printed."""
+    if trace.decisions is not None:
+        raise BssError("a decisions-level trace has no steps to print; "
+                       "run with trace='full'")
 
 
 def normalize_input(program: Program, input_values) -> tuple[Value, ...]:
@@ -131,41 +159,52 @@ def _constant_fractions(program: Program) -> dict[int, Fraction]:
 
 
 def run_concrete(program: Program, input_values, oracle: Oracle | None = None,
-                 budget: int = DEFAULT_BUDGET) -> tuple[RunResult, Trace]:
-    """Run to halt, fault, or budget exhaustion; always returns the trace."""
+                 budget: int = DEFAULT_BUDGET,
+                 trace: str = FULL) -> tuple[RunResult, Trace]:
+    """Run to halt, fault, or budget exhaustion; always returns the trace,
+    at the level trace names: "full" or "decisions" (module docstring)."""
     check_budget(budget, "budget", 1)
+    if trace not in TRACE_LEVELS:
+        raise BssError(f"trace must be {FULL!r} or {DECISIONS!r}, got {trace!r}")
     oracle = oracle if oracle is not None else Oracle.empty()
     values = normalize_input(program, input_values)
     cells = initial_cells(program, [v.numerator if type(v) is Fraction and v.denominator == 1
                                     else v for v in values], zero=0)
-    fractions = _Fractions(_constant_fractions(program))
-    written: dict[int, dict] = {}   # cell -> int -> its writes tuple
     steps: list[StepRecord] = []
-    append, rows, new = steps.append, program.instructions, tuple.__new__
+    if trace == DECISIONS:
+        fractions = _Fractions()
+        domain = _DecisionsDomain(oracle)
+        record = None
+    else:
+        fractions = _Fractions(_constant_fractions(program))
+        domain = ConcreteDomain(oracle)
+        written: dict[int, dict] = {}   # cell -> int -> its writes tuple
+        append, rows, new = steps.append, program.instructions, tuple.__new__
 
-    def record(index, pc, writes, branch, oracle_event):
-        label, instruction = rows[pc]
-        if writes:
-            ((cell, value),) = writes
-            if type(value) is int:
-                at = written.get(cell)
-                if at is None:
-                    at = written[cell] = {}
-                shared = at.get(value)
-                if shared is None:
-                    shared = at[value] = ((cell, fractions[value]),)
-                writes = shared
-        if oracle_event is not None:
-            oracle_event = (_public(oracle_event[0], fractions), oracle_event[1])
-        # trusted constructor, like MultiPoly._of: one C-level tuple build
-        append(new(StepRecord, (index, label, instruction, writes,
-                                branch and branch[1], oracle_event)))
+        def record(index, pc, writes, branch, oracle_event):
+            label, instruction = rows[pc]
+            if writes:
+                ((cell, value),) = writes
+                if type(value) is int:
+                    at = written.get(cell)
+                    if at is None:
+                        at = written[cell] = {}
+                    shared = at.get(value)
+                    if shared is None:
+                        shared = at[value] = ((cell, fractions[value]),)
+                    writes = shared
+            if oracle_event is not None:
+                oracle_event = (_public(oracle_event[0], fractions), oracle_event[1])
+            # trusted constructor, like MultiPoly._of: one C-level tuple build
+            append(new(StepRecord, (index, label, instruction, writes,
+                                    branch and branch[1], oracle_event)))
 
     status, _, _, count, payload = execute(
-        compile_program(program), cells, ConcreteDomain(oracle), budget, record=record)
+        compile_program(program), cells, domain, budget, record=record)
     result = RunResult(status, _public(payload, fractions) if status == HALTED else None,
                        count, payload if status == FAULT else None)
-    return result, Trace(program, values, oracle, steps, result)
+    decisions = None if record is not None else (domain.branches, domain.answers)
+    return result, Trace(program, values, oracle, steps, result, decisions)
 
 
 class ConcreteDomain:
@@ -200,6 +239,26 @@ class ConcreteDomain:
         return oracle_query(self.oracle, query)
 
 
+class _DecisionsDomain(ConcreteDomain):
+    """The concrete domain, keeping each branch sign and oracle answer it
+    gives, in run order: a decisions-level trace (module docstring)."""
+
+    def __init__(self, oracle: Oracle):
+        super().__init__(oracle)
+        self.branches: list[int] = []
+        self.answers: list[bool] = []
+
+    def sign(self, value: Value | int) -> int:
+        s = sign_at(value)
+        self.branches.append(s)
+        return s
+
+    def ask(self, query: tuple[Value | int, ...]) -> bool:
+        answer = oracle_query(self.oracle, query)
+        self.answers.append(answer)
+        return answer
+
+
 # -- trace pretty printer --------------------------------------------------
 
 
@@ -213,6 +272,7 @@ def format_value(v: Value) -> str:
 
 
 def trace_to_text(trace: Trace) -> str:
+    require_full(trace)
     lines = []
     for step in trace.steps:
         writes = ",".join(f"c{cell}={format_value(value)}" for cell, value in step.writes)

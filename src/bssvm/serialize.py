@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .exact import AlgebraicNumber, format_rational
 from .machine import Trace, format_instruction
+from .machine.interp import require_full
 from .symbolic import (
     EpsilonCertificate,
     FieldBoundaryReport,
@@ -54,6 +55,7 @@ def _interval(iv) -> list[str]:
 
 
 def trace_to_json(trace: Trace) -> dict:
+    require_full(trace)
     r = trace.result
     return {
         "kind": "trace",

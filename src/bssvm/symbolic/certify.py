@@ -7,6 +7,13 @@ same functions of its coordinates.  epsilon_certificate finds such a box
 with interval_eval's term-by-term enclosures, starting at half-width 1 and
 halving until every numerator and denominator enclosure excludes zero;
 verify_neighborhood then attacks the certificate with concrete sample runs.
+
+Each sample run keeps only its decisions (run_concrete's "decisions"
+trace level), which is all the comparison reads: the path is its branch
+signs and oracle answers in order, and the output comes with the result.
+Those histories are exactly the full trace's, because the execution core
+asks the domain for a sign only at a BRANCH and for an answer only at an
+ORACLE, and the concrete domain decides every one.
 """
 
 from __future__ import annotations
@@ -151,7 +158,7 @@ def verify_neighborhood(program: Program, oracle: Oracle | None,
     for _ in range(samples):
         point = tuple(anchor + Fraction(rng.randint(-_GRID, _GRID), _GRID) * radius
                       for anchor, radius in anchors)
-        result, run = run_concrete(program, point, oracle, budget=budget)
+        result, run = run_concrete(program, point, oracle, budget=budget, trace="decisions")
         if result.status != "halted":
             results.append(SampleResult(point, False, f"status {result.status}"))
             continue

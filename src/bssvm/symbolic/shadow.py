@@ -233,22 +233,35 @@ def _value_degree(v: Value) -> int:
 
 def field_boundary_check(trace: SymbolicTrace) -> FieldBoundaryReport:
     """Every written cell's function must (a) have rational coefficients and
-    (b) reproduce the concrete value when evaluated at the input."""
+    (b) reproduce the concrete value when evaluated at the input.
+
+    Cells share function objects (a run lifts each constant once, and a
+    COPY writes its source's function), so each distinct object is checked
+    and replayed once, keyed by id: the trace holds every one of them for
+    the length of the call.  Every cell is still compared with its own
+    value, and every failure is reported for each cell it touches."""
     failures: list[str] = []
     checked = 0
     max_deg = 0
+    seen: dict[int, tuple[list[str], object]] = {}  # id(f) -> (bad coeffs, replay)
     for step in trace.steps:
         for cell, f in step.cells.items():
             checked += 1
             concrete = step.values[cell]
-            for poly in (f.num, f.den):
-                for coeff in poly.terms.values():
-                    if not isinstance(coeff, Fraction):
-                        failures.append(
-                            f"step {step.index} cell {cell}: non-rational coefficient {coeff!r}")
-            try:
-                replay = rf_eval(f, trace.input)
-            except PoleError:
+            known = seen.get(id(f))
+            if known is None:
+                bad = [f"non-rational coefficient {coeff!r}"
+                       for poly in (f.num, f.den) for coeff in poly.terms.values()
+                       if not isinstance(coeff, Fraction)]
+                try:
+                    replay = rf_eval(f, trace.input)
+                except PoleError:
+                    replay = None
+                known = seen[id(f)] = (bad, replay)
+            bad, replay = known
+            if bad:
+                failures.extend(f"step {step.index} cell {cell}: {b}" for b in bad)
+            if replay is None:
                 failures.append(
                     f"step {step.index} cell {cell}: function pole at the input")
                 continue

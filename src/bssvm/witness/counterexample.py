@@ -118,7 +118,8 @@ def build_counterexample(program: Program, oracle: Oracle, x1, probe_input,
     except BssError as exc:
         return _inapplicable(x1, str(exc), n=n, m=m, epsilon=cert.epsilon)
 
-    run, trace = run_concrete(program, (x1, x2), oracle=oracle, budget=budget)
+    run, trace = run_concrete(program, (x1, x2), oracle=oracle, budget=budget,
+                              trace="decisions")
     if run.status == FAULT and run.fault_kind == ORACLE_UNSUPPORTED:
         return _inapplicable(
             x1, "oracle cannot answer on the degree-m extension field",

@@ -5,9 +5,10 @@ halt after SHIFT with an OUTPUT whose range spans two frames, each fault
 kind, and budget exhaustion.  Each run is made three ways, by run_concrete,
 shadow_trace and explore_paths, and the three must tell the same story.
 
-run_concrete keeps integral values as ints inside a run; at the end of this
-file it is checked against the Fraction-only domain it replaced, on every
-library program.
+run_concrete keeps integral values as ints inside a run; further down it
+is checked against the Fraction-only domain it replaced, on every library
+program.  At the end, its "decisions" trace level is checked against its
+"full" one.
 """
 
 import random
@@ -15,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bssvm.errors import PoleError
+from bssvm.errors import BssError, PoleError
 from bssvm.exact import algebraic_equal, nth_root_field, rf_eval, sign_at
 from bssvm.machine import Oracle, initial_cells, parse_program, run_concrete
 from bssvm.machine.core import FAULT, HALTED, compile_program, execute
@@ -283,3 +284,43 @@ def test_reference_inputs_reach_every_outcome_and_the_oracle():
             answers.update(trace.oracle_history())
     assert statuses >= {"halted", "budget_exhausted"}
     assert answers == {True, False}
+
+
+# -- trace levels ------------------------------------------------------------
+
+def same_decisions(program, values, oracle, budget):
+    """Both trace levels give the same result and the same histories; the
+    decisions level keeps no steps."""
+    full_result, full = run_concrete(program, values, oracle=oracle, budget=budget)
+    result, trace = run_concrete(program, values, oracle=oracle, budget=budget,
+                                 trace="decisions")
+    assert full.decisions is None
+    assert result == full_result
+    assert same(result.output, full_result.output)
+    assert trace.steps == []
+    assert trace.branch_history() == full.branch_history()
+    assert trace.oracle_history() == full.oracle_history()
+    assert (trace.program, trace.input, trace.oracle) == (full.program, full.input, full.oracle)
+    return full_result, full
+
+
+@pytest.mark.parametrize("name", stdlib_names())
+def test_decisions_level_agrees_with_the_full_trace(name):
+    program = stdlib_program(name)
+    for values in _reference_inputs(name, program.arity):
+        for oracle in (Oracle.rationals(), Oracle.empty(), None):
+            for budget in (1, 5, 3000):
+                same_decisions(program, values, oracle, budget)
+
+
+@pytest.mark.parametrize("text,oracle,values,status,fault_kind", CASES)
+def test_decisions_level_agrees_on_every_outcome(text, oracle, values, status, fault_kind):
+    program, values = _case(text, values)
+    result, _ = same_decisions(program, values, oracle, BUDGET)
+    assert (result.status, result.fault_kind) == (status, fault_kind)
+
+
+@pytest.mark.parametrize("level", ["none", "FULL", "", None, 1])
+def test_run_concrete_rejects_an_unknown_trace_level(level):
+    with pytest.raises(BssError, match="trace must be"):
+        run_concrete(stdlib_program("sgn"), [F(2)], trace=level)

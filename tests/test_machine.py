@@ -285,6 +285,13 @@ def test_trace_text_format():
     assert lines[-1].startswith("halted steps=3")
 
 
+def test_trace_text_rejects_a_decisions_trace():
+    _, trace = run_concrete(stdlib_program("sgn"), [F(-3)], trace="decisions")
+    assert trace.steps == [] and trace.branch_history() == (-1,)
+    with pytest.raises(BssError, match="decisions-level trace"):
+        trace_to_text(trace)
+
+
 # -- integral values inside a run -------------------------------------------
 
 def _public(v) -> bool:

@@ -13,6 +13,7 @@ import pytest
 import bssvm
 from bssvm import cli
 from bssvm.cli import main
+from bssvm.errors import BssError
 from bssvm.exact import AlgebraicNumber, NumberField, RatInterval, UniPoly, nth_root_field
 from bssvm.machine import run_concrete
 from bssvm.serialize import SCHEMAS, trace_to_json, value_to_json
@@ -67,6 +68,29 @@ def test_value_to_json_ignores_earlier_comparisons():
 
 
 # -- run ----------------------------------------------------------------------
+
+def test_trace_json_rejects_a_decisions_trace():
+    _, trace = run_concrete(stdlib_program("sgn"), [F(-3)], trace="decisions")
+    with pytest.raises(BssError, match="decisions-level trace"):
+        trace_to_json(trace)
+
+
+@pytest.mark.parametrize("extra,level", [
+    ((), "decisions"),
+    (("--trace",), "full"),
+    (("--format", "json"), "full"),
+    (("--trace", "--format", "json"), "full"),
+])
+def test_run_keeps_the_full_trace_only_where_it_prints_it(capsys, monkeypatch, extra, level):
+    levels = []
+
+    def recording(*args, **kwargs):
+        levels.append(kwargs["trace"])
+        return run_concrete(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_concrete", recording)
+    code, out, _ = run_cli(capsys, "run", "--stdlib", "sgn", "--input", "(-3)", *extra)
+    assert code == 0 and levels == [level]
 
 def test_run_sgn_text(capsys):
     code, out, err = run_cli(capsys, "run", "--stdlib", "sgn", "--input", "(-3)")

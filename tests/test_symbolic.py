@@ -119,6 +119,65 @@ def test_field_boundary_degree_stays_one_on_rational_runs():
             assert report.ok and report.max_value_degree <= 1
 
 
+# one function object, Y1^2, written to three cells
+SHARED = """\
+PROGRAM shared
+ARITY 1
+sq:  MUL c1 c0 c0
+cp1: COPY c2 c1
+cp2: COPY c3 c1
+out: OUTPUT c1..c3
+"""
+
+
+def _with_cells(trace, changes):
+    """The trace with step i's cells and values replaced as changes[i] says:
+    a (cell, function, value) triple per step, None keeping the old one."""
+    steps = list(trace.steps)
+    for i, (cell, f, v) in changes.items():
+        step = steps[i]
+        steps[i] = dataclasses.replace(
+            step, cells={**step.cells, cell: step.cells[cell] if f is None else f},
+            values={**step.values, cell: step.values[cell] if v is None else v})
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
+def test_field_boundary_check_reports_the_one_corrupted_cell_of_a_shared_function():
+    trace = shadow_trace(parse_program(SHARED), [F(3)])
+    f = trace.steps[0].cells[1]
+    assert [step.cells for step in trace.steps[:3]] == [{1: f}, {2: f}, {3: f}]
+    assert all(step.cells[cell] is f for step, cell in zip(trace.steps, (1, 2, 3)))
+    assert field_boundary_check(trace).ok
+
+    report = field_boundary_check(_with_cells(trace, {1: (2, None, F(10))}))
+    assert not report.ok and report.cells_checked == 3
+    assert report.failures == (
+        "step 1 cell 2: Y1^2 evaluates to Fraction(9, 1), concrete run holds Fraction(10, 1)",)
+
+
+def test_field_boundary_check_reports_a_shared_pole_and_coefficient_per_cell():
+    trace = shadow_trace(parse_program(SHARED), [F(3)])
+    y1, one = MultiPoly.var(0, 1), MultiPoly.constant(1, 1)
+    pole = RationalFunction(one, y1 - MultiPoly.constant(3, 1))
+    # an int coefficient, which MultiPoly(...) would have made a Fraction
+    int_coeff = RationalFunction._of(MultiPoly._of(1, {(2,): 1}), one)
+    report = field_boundary_check(_with_cells(
+        trace, {0: (1, pole, None), 1: (2, int_coeff, None), 2: (3, pole, None)}))
+    assert not report.ok and report.cells_checked == 3
+    assert report.failures == (
+        "step 0 cell 1: function pole at the input",
+        "step 1 cell 2: non-rational coefficient 1",
+        "step 2 cell 3: function pole at the input",
+    )
+    report = field_boundary_check(_with_cells(
+        trace, {0: (1, int_coeff, None), 2: (3, int_coeff, F(8))}))
+    assert report.failures == (
+        "step 0 cell 1: non-rational coefficient 1",
+        "step 2 cell 3: non-rational coefficient 1",
+        "step 2 cell 3: Y1^2 evaluates to Fraction(9, 1), concrete run holds Fraction(8, 1)",
+    )
+
+
 @pytest.mark.parametrize("budget", [2.5, "5", None, True, 0])
 def test_shadow_trace_rejects_non_int_budget(budget):
     with pytest.raises(BssError, match="budget must be"):
@@ -282,6 +341,27 @@ def test_neighborhood_samples_follow_the_same_path():
     assert report.ok and report.passed == 40
     for sample in report.samples:
         assert sample.ok
+
+
+def test_neighborhood_check_rejects_a_forged_certificate():
+    """inv_shift at 2 is certified for epsilon 1/2; at epsilon 2 the box
+    [0, 4] holds points below 1, which take the other branch, and 1 itself,
+    where the guard loops until the budget runs out."""
+    prog = stdlib_program("inv_shift")
+    trace = shadow_trace(prog, [F(2)])
+    cert = epsilon_certificate(extract_f(trace), trace.input)
+    forged = dataclasses.replace(cert, epsilon=F(2))
+    report = verify_neighborhood(prog, None, trace, forged, samples=60, seed=5)
+    assert not report.ok
+    details = {}
+    for sample in report.samples:
+        (x,) = sample.point
+        want = ("path and output reproduced" if x > 1 else
+                "status budget_exhausted" if x == 1 else "path diverged from the trace")
+        assert (sample.ok, sample.detail) == (x > 1, want), x
+        details[want] = details.get(want, 0) + 1
+    assert details == {"path and output reproduced": 47, "path diverged from the trace": 12,
+                       "status budget_exhausted": 1}
 
 
 # -- path exploration --------------------------------------------------------
