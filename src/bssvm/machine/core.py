@@ -22,6 +22,17 @@ with four methods:
 ADD, SUB and MUL are the values' own + - * operators.  A None from sign or
 ask stops the run with status FORK, so the caller decides how to go on: the
 concrete and shadow domains never return None, the path explorer forks.
+
+A run with no record callback ends at once on a jump to itself (a GOTO
+whose target is its own row and whose delta is 0, i.e. JMP to its own
+label): its step count becomes the budget, and it returns BUDGET_EXHAUSTED
+with the pc, offset, steps and cells that stepping to the budget would give.
+That is exact, because such a row reads no cell, writes none and calls no
+domain method, so nothing can change before the budget runs out.  A run
+with a record callback steps through it, since record is called once per
+executed instruction.  A semi-decision diverges this way, as q_enumerator
+does off the naturals (`spin: JMP spin`), and its untraced run then costs
+a few rows, not one loop pass per step of its budget.
 """
 
 from __future__ import annotations
@@ -109,6 +120,11 @@ def execute(code, cells: dict, domain, budget: int, pc: int = 0, offset: int = 0
     every instruction executed, forks excepted: writes holds (absolute cell,
     value) pairs, branch is (value, sign) at a BRANCH and oracle is
     (query, answer) at an ORACLE, else None.
+
+    With no record, a JMP to its own row sets steps to budget and so returns
+    BUDGET_EXHAUSTED at once, with the same pc, offset, steps and cells as
+    stepping would: the row touches no cell and no domain method (module
+    docstring).
     """
     const, div, sign, ask = domain.const, domain.div, domain.sign, domain.ask
     get = cells.get
@@ -150,6 +166,9 @@ def execute(code, cells: dict, domain, budget: int, pc: int = 0, offset: int = 0
         elif op == GOTO:
             if record is not None:
                 record(index, pc, (), None, None)
+            elif a == pc and not b:
+                # a jump to itself: every step left repeats it (docstring)
+                steps = budget
             pc = a
             offset += b
         elif op == ORACLE:

@@ -14,7 +14,11 @@ give.  It is exact: execute calls sign only at a BRANCH and ask only at an
 ORACLE, each call's answer is the one a full trace records at that step,
 and the concrete domain never leaves a sign or an answer open.  A query
 the oracle cannot decide raises before anything is appended, just as a
-full trace records no oracle event on that fault.
+full trace records no oracle event on that fault.  With no record callback,
+execute also ends a run at once when it reaches a jump to itself, with the
+status and step count that stepping to the budget would give: such a row
+makes no decision, so the decisions are those of the full trace too
+(machine/core.py).  A full trace steps through it, one record per step.
 
 Inside a run, every integral value is a Python int: the integral input
 cells, the ZERO window and the integral program constants start as ints,
@@ -113,7 +117,10 @@ def require_full(trace: Trace) -> None:
 
 
 def normalize_input(program: Program, input_values) -> tuple[Value, ...]:
-    values = tuple(v if isinstance(v, AlgebraicNumber) else Fraction(v) for v in input_values)
+    # a Fraction passes as it is; anything else, a Fraction subclass included,
+    # is converted
+    values = tuple(v if type(v) is Fraction or isinstance(v, AlgebraicNumber) else Fraction(v)
+                   for v in input_values)
     if program.arity != VAR_ARITY and len(values) != program.arity:
         raise BssError(f"program {program.name} takes {program.arity} input(s), got {len(values)}")
     return values

@@ -9,7 +9,9 @@ sign the current path has already pinned is forced down that arm, which also
 prunes contradictory paths without any satisfiability reasoning (dead leaves
 from jointly-unsatisfiable conditions are allowed).  Depth is counted in
 forks, not instructions; a separate straight-line step cap catches runaway
-loops between forks.
+loops between forks.  A path that reaches a jump to itself reaches the cap
+at once, since execute runs here with no record callback (machine/core.py),
+and ends in a budget_exhausted leaf as stepping to the cap would.
 
 Equality arms (sign 0) on nonconstant functions describe measure-zero input
 sets; their leaves are flagged so downstream consumers can skip them.

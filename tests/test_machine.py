@@ -25,11 +25,14 @@ from bssvm.machine import (
     Oracle,
     OracleUnsupported,
     cantor_membership,
+    initial_cells,
+    normalize_input,
     oracle_query,
     parse_program,
     run_concrete,
     trace_to_text,
 )
+from bssvm.machine.core import BRANCH, GOTO, compile_program, execute
 from bssvm.machine.interp import ConcreteDomain
 from bssvm.stdlib import stdlib_names, stdlib_program
 from bssvm.symbolic import epsilon_certificate, extract_f, shadow_trace, verify_neighborhood
@@ -157,6 +160,92 @@ def test_budget_exhaustion_and_monotonicity():
     for budget in (baseline.steps, baseline.steps + 1, 10 ** 6):
         again, _ = run_concrete(prog, [F(2)], budget=budget)
         assert again == baseline  # halted runs are budget-independent
+
+
+# the library programs with a jump to itself, `spin: JMP spin`, where the
+# rational unranking they share diverges on an index off the naturals
+SPINNING = ("q_enumerator", "qx_enumerator", "algebraic_semidecider", "dependence")
+
+
+def _spin_entries(name):
+    """The program, its spin row, and (pc, cells) states from which execute
+    reaches that row.  q_enumerator gets there from its inputs off the
+    naturals.  The other three unrank an index that is always a natural
+    built from constants, so no input of theirs reaches the row; their
+    states start at the BRANCH that opens the unranking, with an index off
+    the naturals in its cell and 1 in the cell the unranking reads as one."""
+    program = stdlib_program(name)
+    code = compile_program(program)
+    (spin,) = [i for i, (op, a, b, _, _) in enumerate(code) if op == GOTO and a == i and b == 0]
+    if name == "q_enumerator":
+        return program, spin, [(0, initial_cells(program, [x])) for x in (F(-1), F(1, 2), F(7, 2))]
+    guard = next(i for i, (op, _, b, _, _) in enumerate(code) if op == BRANCH and b[0] == spin)
+    idx, (_, _, start) = code[guard][1], code[guard][2]
+    one = code[start][3]   # start: SUB idx idx one
+    entries = []
+    for x in (F(-1), F(7, 2)):
+        cells = initial_cells(program, [F(2)] * program.arity)
+        cells[idx], cells[one] = x, 1
+        entries.append((guard, cells))
+    return program, spin, entries
+
+
+@pytest.mark.parametrize("name", SPINNING)
+def test_an_untraced_jump_to_itself_ends_as_stepping_would(name):
+    program, spin, entries = _spin_entries(name)
+    code = compile_program(program)
+    domain = ConcreteDomain(Oracle.empty())
+    for pc, cells in entries:
+        pcs = []
+        execute(code, dict(cells), domain, 10 ** 4, pc, record=lambda _, at, *rest: pcs.append(at))
+        k = pcs.index(spin) + 1   # the step that first enters the spin row
+        assert k >= 2
+        for budget in (1, k - 1, k, k + 1, 10 ** 4):
+            traced, untraced = dict(cells), dict(cells)
+            want = execute(code, traced, domain, budget, pc, record=lambda *_: None)
+            assert execute(code, untraced, domain, budget, pc) == want, (budget, k)
+            assert untraced == traced
+        assert want[:4] == (BUDGET_EXHAUSTED, spin, 0, 10 ** 4)
+
+
+class _CountingCode(tuple):
+    """A code table that counts its row fetches."""
+
+    fetches = 0
+
+    def __getitem__(self, i):
+        self.fetches += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_an_untraced_spin_fetches_a_few_rows_not_one_per_step():
+    program = stdlib_program("q_enumerator")
+    code = _CountingCode(compile_program(program))
+    cells = initial_cells(program, [F(-1)])
+    status, pc, _, steps, _ = execute(code, cells, ConcreteDomain(Oracle.empty()), 10 ** 6)
+    assert (status, steps) == (BUDGET_EXHAUSTED, 10 ** 6)
+    assert code.fetches < 50
+    # the decisions level runs untraced: a budget of 10^9 ends at once, with
+    # the decisions of a full trace
+    result, trace = run_concrete(program, [F(-1)], budget=10 ** 9, trace="decisions")
+    assert (result.status, result.steps) == (BUDGET_EXHAUSTED, 10 ** 9)
+    _, full = run_concrete(program, [F(-1)], budget=100)
+    assert trace.branch_history() == full.branch_history() == (-1,)
+    assert full.steps[-1].label == program.instructions[pc][0]
+
+
+def test_normalize_input_keeps_a_fraction_and_converts_the_rest():
+    program = stdlib_program("dependence")
+    q = F(3, 7)
+    kept, two = normalize_input(program, [q, 2])
+    assert kept is q and type(two) is F and two == 2
+
+    class Sub(F):
+        pass
+
+    half, five_thirds = normalize_input(program, [Sub(1, 2), "5/3"])
+    assert type(half) is F and half == F(1, 2)
+    assert type(five_thirds) is F and five_thirds == F(5, 3)
 
 
 @pytest.mark.parametrize("budget", [2.5, "5", None, True, 0])
