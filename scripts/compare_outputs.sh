@@ -12,9 +12,10 @@
 # leaves, cantor_cosemidecider and qx_enumerator (bss paths of qx_enumerator
 # takes 5.5 s and prints 48 MB of json on a shared 2-core VM), and the three
 # programs that take --oracle also run paths under --oracle-policy split and
-# witness in both formats.  run, shadow and certify of the arity-1 programs
-# that take an element of the cubic field Q(b), b^3 = b + 1, run in both
-# formats too.
+# witness in both formats; oracle_member's witness also runs in both formats
+# at the probe (5, a:(7,0)), a rational element of Q(sqrt 2).  run, shadow
+# and certify of the arity-1 programs that take an element of the cubic
+# field Q(b), b^3 = b + 1, run in both formats too.
 # sgn runs in both formats at a 300-bit approximation of sqrt 2, and run,
 # shadow and certify of the same five programs run in both formats in the
 # fields X^2 - 2/3 on [0, 1] (a non-integer coefficient) and X^2 - 2 on
@@ -119,6 +120,11 @@ for side in old new; do
         run $p.witness $format witness --stdlib $p $oracle --input "(5, 7)"
       done
     fi
+  done
+  # a witness probe given as a rational element of Q(sqrt 2)
+  for format in json text; do
+    run oracle_member.witness.field $format witness --stdlib oracle_member \
+      --oracle rationals --x1 2 --field "$field" --input "(5, a:(7,0))"
   done
   for p in sgn interval_member even_zeros inv_shift algebraic_semidecider; do
     for cmd in run shadow certify; do

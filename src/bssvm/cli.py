@@ -420,7 +420,7 @@ def cmd_stdlib(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
-def _add_common(p, *, input_flag=True, oracle_flag=True, budget_flag=True):
+def _add_common(p, *, input_flag=True, budget_flag=True):
     p.add_argument("--stdlib", metavar="NAME", help="library program name")
     p.add_argument("--program", metavar="PATH", help="path to a DSL source file")
     if input_flag:
@@ -429,10 +429,9 @@ def _add_common(p, *, input_flag=True, oracle_flag=True, budget_flag=True):
         p.add_argument("--field", action="append", metavar="NAME=MINPOLY;LO;HI",
                        help="register a number field for input literals "
                             '(e.g. "sqrt2=X^2 - 2;1;2"); repeatable')
-    if oracle_flag:
-        p.add_argument("--oracle", default="empty",
-                       metavar="rationals|algebraic|deg=d|degle=d|cantor|finite:PATH|empty",
-                       help="membership oracle (default: empty)")
+    p.add_argument("--oracle", default="empty",
+                   metavar="rationals|algebraic|deg=d|degle=d|cantor|finite:PATH|empty",
+                   help="membership oracle (default: empty)")
     if budget_flag:
         p.add_argument("--budget", type=lambda t: _int_at_least(t, "--budget", 1),
                        default=DEFAULT_BUDGET,

@@ -20,6 +20,7 @@ from .numberfield import (
     QQ,
     sign_at,
     algebraic_equal,
+    exact_value,
     minimal_polynomial,
     degree_over_q,
     nth_root_field,
@@ -53,6 +54,7 @@ __all__ = [
     "QQ",
     "sign_at",
     "algebraic_equal",
+    "exact_value",
     "minimal_polynomial",
     "degree_over_q",
     "nth_root_field",

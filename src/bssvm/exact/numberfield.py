@@ -322,6 +322,19 @@ def sign_at(value) -> int:
     return 0 if v == 0 else (1 if v > 0 else -1)
 
 
+def exact_value(v) -> Fraction | AlgebraicNumber:
+    """v as an exact value, the rule every entry point reads values by: a
+    Fraction (exactly that type) or an AlgebraicNumber is v itself, what
+    Fraction() accepts (an int, a "p/q" string) is converted, and anything
+    else raises BssError."""
+    if type(v) is Fraction or isinstance(v, AlgebraicNumber):
+        return v
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise BssError(f"not an exact value: {v!r}") from None
+
+
 def algebraic_equal(a, b) -> bool:
     if type(a) is Fraction and type(b) is Fraction:
         return a == b
@@ -356,7 +369,12 @@ def minimal_polynomial(a: AlgebraicNumber) -> UniPoly:
     raise BssError("no linear dependence among power coordinates")
 
 
-def degree_over_q(a: AlgebraicNumber) -> int:
+def degree_over_q(a) -> int:
+    """Degree over Q of exact_value(a); 1 for a rational one, with no
+    linear algebra."""
+    a = exact_value(a)
+    if type(a) is Fraction or a.is_rational():
+        return 1
     return minimal_polynomial(a).degree
 
 

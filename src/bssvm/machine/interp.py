@@ -26,13 +26,13 @@ and ADD, SUB, MUL and an exact DIV of ints stay ints, so most steps of the
 enumerators pay for no gcd and allocate no Fraction.  Values are Fractions
 again where they leave run_concrete: the writes and the oracle query of
 each full step record, and the output.  The query goes to oracle_query as
-it is, ints included, and oracle_query converts it once.  Dicts kept for
-one run map each int to its Fraction, starting from the program's own
-integral constants, and each int written to a cell to the writes tuple of
-that write.  So a value written again and again is converted once, and the
-records that write it share one tuple: fewer objects for the garbage
-collector to track.  A decisions-level run converts only its output: its
-int -> Fraction dict starts empty, and it keeps no writes tuples.
+it is, ints included, and oracle_query converts it once, by exact_value.
+Dicts kept for one run map each int to its Fraction, and each int written
+to a cell to the writes tuple of that write.  So a value written again and
+again is converted once, and the records that write it share one tuple:
+fewer objects for the garbage collector to track.  The int -> Fraction
+dict starts empty at both trace levels; a decisions-level run converts
+only its output through it, and keeps no writes tuples.
 
 StepRecord is a typing.NamedTuple, not a dataclass: dataclasses.replace,
 asdict and fields do not apply to it, while its _replace, _asdict and
@@ -46,8 +46,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ..errors import BssError, PoleError
-from ..exact import AlgebraicNumber, format_rational, sign_at
-from .core import (BLANK_READ, BUDGET_EXHAUSTED, CONST, DIVISION_BY_ZERO, FAULT,
+from ..exact import AlgebraicNumber, exact_value, format_rational, sign_at
+from .core import (BLANK_READ, BUDGET_EXHAUSTED, DIVISION_BY_ZERO, FAULT,
                    HALTED, ORACLE_UNSUPPORTED, check_budget, compile_program,
                    execute)
 from .oracle import Oracle, oracle_query
@@ -117,10 +117,8 @@ def require_full(trace: Trace) -> None:
 
 
 def normalize_input(program: Program, input_values) -> tuple[Value, ...]:
-    # a Fraction passes as it is; anything else, a Fraction subclass included,
-    # is converted
-    values = tuple(v if type(v) is Fraction or isinstance(v, AlgebraicNumber) else Fraction(v)
-                   for v in input_values)
+    # each value is read by exact_value: a value that is not exact is a BssError
+    values = tuple(map(exact_value, input_values))
     if program.arity != VAR_ARITY and len(values) != program.arity:
         raise BssError(f"program {program.name} takes {program.arity} input(s), got {len(values)}")
     return values
@@ -140,8 +138,8 @@ def initial_cells(program: Program, values, zero=Fraction(0)) -> dict:
 
 
 class _Fractions(dict):
-    """int -> its Fraction, one per run: seeded with the program's
-    constants, any other int's Fraction built on first use."""
+    """int -> its Fraction, one per run, starting empty: each int's
+    Fraction is built on first use."""
 
     def __missing__(self, n: int) -> Fraction:
         q = self[n] = Fraction(n)
@@ -150,19 +148,6 @@ class _Fractions(dict):
 
 def _public(values, fractions: _Fractions) -> tuple[Value, ...]:
     return tuple([fractions[v] if type(v) is int else v for v in values])
-
-
-def _constant_fractions(program: Program) -> dict[int, Fraction]:
-    """Each integral constant of the program, as an int, mapped to the
-    program's own Fraction; built once per Program object and kept on it,
-    like its code table.  A run starts its _Fractions from it, so a short
-    run converts its constants without building a Fraction."""
-    table = program.__dict__.get("_constant_fractions")
-    if table is None:
-        table = program.__dict__["_constant_fractions"] = {
-            q.numerator: q for op, _, q, _, _ in compile_program(program)
-            if op == CONST and q.denominator == 1}
-    return table
 
 
 def run_concrete(program: Program, input_values, oracle: Oracle | None = None,
@@ -178,12 +163,11 @@ def run_concrete(program: Program, input_values, oracle: Oracle | None = None,
     cells = initial_cells(program, [v.numerator if type(v) is Fraction and v.denominator == 1
                                     else v for v in values], zero=0)
     steps: list[StepRecord] = []
+    fractions = _Fractions()
     if trace == DECISIONS:
-        fractions = _Fractions()
         domain = _DecisionsDomain(oracle)
         record = None
     else:
-        fractions = _Fractions(_constant_fractions(program))
         domain = ConcreteDomain(oracle)
         written: dict[int, dict] = {}   # cell -> int -> its writes tuple
         append, rows, new = steps.append, program.instructions, tuple.__new__

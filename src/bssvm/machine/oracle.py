@@ -10,6 +10,9 @@ An oracle answers yes/no for a tuple of exact values.  Kinds:
   finite(S)      tuple membership in an explicit finite set
   empty          always false
 
+A query, and each member of finite(S), is converted once, value by value,
+by exact_value (exact/numberfield.py).
+
 Degree oracles take length-1 tuples only; the cantor oracle additionally
 requires the coordinate to be rational.  Anything else raises
 OracleUnsupported, which the interpreter converts into an
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import BssError
-from ..exact import AlgebraicNumber, degree_over_q
+from ..exact import AlgebraicNumber, degree_over_q, exact_value
 
 
 class OracleUnsupported(BssError):
@@ -41,12 +44,6 @@ Value = Fraction | AlgebraicNumber
 GENERIC_ANSWER = False
 
 _KINDS = ("rationals", "algebraic", "degree_eq", "degree_leq", "cantor", "finite", "empty")
-
-
-def _normalize_value(v) -> Value:
-    if isinstance(v, AlgebraicNumber):
-        return v
-    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ class Oracle:
 
     @classmethod
     def finite(cls, tuples) -> "Oracle":
-        members = frozenset(tuple(_normalize_value(v) for v in t) for t in tuples)
+        members = frozenset(tuple(map(exact_value, t)) for t in tuples)
         return cls("finite", members=members)
 
     @classmethod
@@ -105,16 +102,10 @@ def _is_rational(v: Value) -> bool:
     return isinstance(v, Fraction) or v.is_rational()
 
 
-def _degree(v: Value) -> int:
-    if isinstance(v, Fraction):
-        return 1
-    return degree_over_q(v)
-
-
 def oracle_query(oracle: Oracle, values: tuple) -> bool:
-    """The oracle's answer for values; an int coordinate is read as its
-    Fraction."""
-    values = tuple(_normalize_value(v) for v in values)
+    """The oracle's answer for values, each read once by exact_value: an
+    int coordinate is read as its Fraction."""
+    values = tuple(map(exact_value, values))
     kind = oracle.kind
     if kind == "rationals":
         return all(_is_rational(v) for v in values)
@@ -123,7 +114,7 @@ def oracle_query(oracle: Oracle, values: tuple) -> bool:
     if kind in ("degree_eq", "degree_leq"):
         if len(values) != 1:
             raise OracleUnsupported(f"{kind} oracle takes a single coordinate, got {len(values)}")
-        d = _degree(values[0])
+        d = degree_over_q(values[0])
         return d == oracle.degree if kind == "degree_eq" else d <= oracle.degree
     if kind == "cantor":
         if len(values) != 1:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import PoleError
-from ..exact import (AlgebraicNumber, RationalFunction, algebraic_equal,
-                     degree_over_q, rf_eval, sign_at)
+from ..exact import (RationalFunction, algebraic_equal, degree_over_q, rf_eval,
+                     sign_at)
 from ..machine.core import FAULT, HALTED, check_budget, compile_program, execute
 from ..machine.interp import (DEFAULT_BUDGET, ConcreteDomain, Value,
                               initial_cells, normalize_input)
@@ -225,12 +225,6 @@ class FieldBoundaryReport:
     failures: tuple[str, ...]
 
 
-def _value_degree(v: Value) -> int:
-    if isinstance(v, AlgebraicNumber):
-        return degree_over_q(v)
-    return 1
-
-
 def field_boundary_check(trace: SymbolicTrace) -> FieldBoundaryReport:
     """Every written cell's function must (a) have rational coefficients and
     (b) reproduce the concrete value when evaluated at the input.
@@ -269,5 +263,5 @@ def field_boundary_check(trace: SymbolicTrace) -> FieldBoundaryReport:
                 failures.append(
                     f"step {step.index} cell {cell}: {f} evaluates to "
                     f"{replay!r}, concrete run holds {concrete!r}")
-            max_deg = max(max_deg, _value_degree(concrete))
+            max_deg = max(max_deg, degree_over_q(concrete))
     return FieldBoundaryReport(not failures, checked, max_deg, tuple(failures))

@@ -2,7 +2,6 @@
 counterexamples, and middle-thirds decompositions."""
 
 from .cantor import (
-    DEFAULT_DIGIT_BUDGET,
     CantorPair,
     cantor_decompose,
     even_zeros_truth,
@@ -22,7 +21,6 @@ from .depend import (
 )
 
 __all__ = [
-    "DEFAULT_DIGIT_BUDGET",
     "CantorPair",
     "cantor_decompose",
     "even_zeros_truth",

@@ -9,8 +9,6 @@ from fractions import Fraction
 
 from ..errors import BssError
 
-DEFAULT_DIGIT_BUDGET = 200
-
 
 @dataclass(frozen=True)
 class CantorPair:
@@ -19,22 +17,20 @@ class CantorPair:
     digits_used: int
 
 
-def ternary_expansion(x: Fraction, digit_budget: int | None = None,
-                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def ternary_expansion(x: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Digits of x in [0, 1] base 3 as (preperiod, cycle); cycle is empty
     for terminating expansions.  1 comes out as 0.(2).
 
-    Left to None, the budget sizes itself: a rational's expansion revisits
-    a remainder within denominator-many digits, so it always fits."""
+    Every state of the walk is k/den for an integer k in [0, den], den the
+    denominator of x, so a state repeats, and the walk closes, within
+    den + 1 digits."""
     x = Fraction(x)
     if x < 0 or x > 1:
         raise BssError(f"ternary expansion needs x in [0, 1], got {x}")
-    if digit_budget is None:
-        digit_budget = max(DEFAULT_DIGIT_BUDGET, x.denominator + 2)
     digits: list[int] = []
     seen: dict[Fraction, int] = {}
     state = x
-    while len(digits) <= digit_budget:
+    while True:
         if state == 0:
             return tuple(digits), ()
         if state in seen:
@@ -46,7 +42,6 @@ def ternary_expansion(x: Fraction, digit_budget: int | None = None,
             d = 2
         digits.append(d)
         state = 3 * state - d
-    raise BssError(f"ternary expansion of {x} exceeds {digit_budget} digits")
 
 
 def ternary_string(x: Fraction) -> str:

@@ -33,10 +33,11 @@ from ..machine import (
     ORACLE_UNSUPPORTED,
     Oracle,
     Program,
+    normalize_input,
     run_concrete,
 )
 from ..symbolic import epsilon_certificate, extract_f, shadow_trace
-from .depend import choose_prime_m, max_var_degree, place_root
+from .depend import _rational, choose_prime_m, max_var_degree, place_root
 
 CONFIRMED = "counterexample_confirmed"
 INAPPLICABLE = "pipeline_inapplicable"
@@ -82,17 +83,17 @@ def build_counterexample(program: Program, oracle: Oracle, x1, probe_input,
                          budget: int = DEFAULT_BUDGET) -> CounterexampleReport:
     """Run the pipeline end to end; see the module docstring.
 
-    The probe must take the generic path: an exact-equality branch on a
-    nonconstant function, or an oracle that cannot answer on the
-    extension field, ends the pipeline with verdict pipeline_inapplicable
-    rather than an error.
+    x1 and the probe's coordinates must be rational values (BssError
+    otherwise).  The probe must take the generic path: an exact-equality
+    branch on a nonconstant function, or an oracle that cannot answer on
+    the extension field, ends the pipeline with verdict
+    pipeline_inapplicable rather than an error.
     """
     if program.arity != 2:
         raise BssError("the pipeline tests arity-2 machines")
-    x1 = Fraction(x1)
-    probe = tuple(Fraction(v) for v in probe_input)
-    if len(probe) != 2:
-        raise BssError("probe input must be a pair")
+    x1 = _rational(x1, "x1")
+    probe = tuple(_rational(v, "probe coordinate")
+                  for v in normalize_input(program, probe_input))
 
     shadow = shadow_trace(program, probe, oracle=oracle, budget=budget,
                           use_generic=True)

@@ -11,10 +11,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import BssError
-from ..exact import AlgebraicNumber, RationalFunction, nth_root_field, sign_at
+from ..exact import AlgebraicNumber, RationalFunction, exact_value, nth_root_field, sign_at
 from ..exact.numberfield import _is_prime, _rational_nth_root
 
 PLACE_ROOT_MAX_STEPS = 20_000
+
+
+def _rational(v, what: str) -> Fraction:
+    """v read by exact_value, as a Fraction: the witness layer's check on
+    its rational inputs.  An irrational field element is a BssError."""
+    v = exact_value(v)
+    if type(v) is Fraction:
+        return v
+    if not v.is_rational():
+        raise BssError(f"{what} must be rational, got {v!r}")
+    return v.as_fraction()
 
 
 def max_var_degree(functions, var_index: int) -> int:
@@ -47,9 +58,9 @@ def place_root(x1, m: int, center, eps) -> tuple[Fraction, AlgebraicNumber]:
     snaps center minus the midpoint to the nearest multiple of eps/2,
     and verifies the placement with exact sign tests before returning.
     """
-    x1 = Fraction(x1)
-    center = Fraction(center)
-    eps = Fraction(eps)
+    x1 = _rational(x1, "x1")
+    center = _rational(center, "center")
+    eps = _rational(eps, "eps")
     if x1 <= 0:
         raise BssError("root placement needs a positive radicand")
     if eps <= 0:

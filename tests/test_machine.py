@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from bssvm.errors import BssError, DslSyntaxError, ProgramError
-from bssvm.exact import AlgebraicNumber, algebraic_equal, nth_root_field
+from bssvm.exact import AlgebraicNumber, algebraic_equal, degree_over_q, nth_root_field
 from bssvm.machine import (
     BLANK_READ,
     Arith,
@@ -36,7 +36,7 @@ from bssvm.machine.core import BRANCH, GOTO, compile_program, execute
 from bssvm.machine.interp import ConcreteDomain
 from bssvm.stdlib import stdlib_names, stdlib_program
 from bssvm.symbolic import epsilon_certificate, extract_f, shadow_trace, verify_neighborhood
-from bssvm.witness import CONFIRMED, build_counterexample
+from bssvm.witness import CONFIRMED, build_counterexample, place_root
 
 SGN_TEXT = """\
 PROGRAM sgn
@@ -248,6 +248,57 @@ def test_normalize_input_keeps_a_fraction_and_converts_the_rest():
     assert type(five_thirds) is F and five_thirds == F(5, 3)
 
 
+_SGN, _PAIR = stdlib_program("sgn"), stdlib_program("oracle_member")
+
+# each entry point that reads a caller's value, given v where that value goes
+_READS_A_VALUE = {
+    "run_concrete": lambda v: run_concrete(_SGN, [v]),
+    "shadow_trace": lambda v: shadow_trace(_SGN, [v]),
+    "normalize_input": lambda v: normalize_input(_SGN, [v]),
+    "Oracle.finite": lambda v: Oracle.finite([(F(1), v)]),
+    "oracle_query": lambda v: oracle_query(Oracle.rationals(), (F(1), v)),
+}
+# the witness layer's rational inputs
+_READS_A_RATIONAL = {
+    "build_counterexample_x1":
+        lambda v: build_counterexample(_PAIR, Oracle.rationals(), v, (5, 7)),
+    "build_counterexample_probe":
+        lambda v: build_counterexample(_PAIR, Oracle.rationals(), 2, (5, v)),
+    "place_root_x1": lambda v: place_root(v, 2, F(7), F(1, 10)),
+    "place_root_center": lambda v: place_root(F(2), 2, v, F(1, 10)),
+    "place_root_eps": lambda v: place_root(F(2), 2, F(7), v),
+}
+
+
+_NOT_EXACT = {"None": None, "abc": "abc", "object": object()}
+
+
+@pytest.mark.parametrize("entry,bad", [
+    *((e, b) for e in [*_READS_A_VALUE, *_READS_A_RATIONAL] for b in _NOT_EXACT),
+    *((e, "sqrt2") for e in _READS_A_RATIONAL),
+])
+def test_a_value_that_is_not_exact_is_a_typed_error(entry, bad):
+    call = {**_READS_A_VALUE, **_READS_A_RATIONAL}[entry]
+    value = nth_root_field(2, 2)[1] if bad == "sqrt2" else _NOT_EXACT[bad]
+    with pytest.raises(BssError):
+        call(value)
+
+
+def test_degree_over_q_reads_a_rational_value_without_linear_algebra(monkeypatch):
+    import bssvm.exact.numberfield as numberfield
+
+    field, cbrt2 = nth_root_field(2, 3)
+
+    def refuse(a):
+        raise AssertionError("minimal polynomial computed for a rational value")
+
+    monkeypatch.setattr(numberfield, "minimal_polynomial", refuse)
+    for v in (3, F(1, 2), field.from_rational(F(-5, 3))):
+        assert degree_over_q(v) == 1
+    monkeypatch.undo()
+    assert degree_over_q(cbrt2) == 3
+
+
 @pytest.mark.parametrize("budget", [2.5, "5", None, True, 0])
 def test_run_concrete_rejects_non_int_budget(budget):
     with pytest.raises(BssError, match="budget must be"):
@@ -450,8 +501,6 @@ def test_repeated_int_writes_share_one_writes_tuple():
     first, again, other, in1, in2 = (s.writes for s in trace.steps[:5])
     assert first is again and first == ((1, F(1)),) and type(first[0][1]) is F
     assert other == ((2, F(1)),) and other[0][1] is first[0][1]
-    # a constant is recorded as one of the program's own Fractions
-    assert any(first[0][1] is ins.value for _, ins in prog.instructions[:3])
     # an integral input is an int inside the run too
     assert in1 is in2 and in1 == ((3, F(5)),) and type(in1[0][1]) is F
 

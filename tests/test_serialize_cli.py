@@ -375,6 +375,36 @@ def test_witness_inapplicable_is_completed_analysis(capsys):
     assert doc["verdict"] == "pipeline_inapplicable"
 
 
+WITNESS = ("witness", "--stdlib", "oracle_member", "--oracle", "rationals", "--x1", "2",
+           "--field", "a=X^2 - 2;1;2")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_witness_reads_a_rational_field_element_probe_as_its_rational(capsys, fmt):
+    rational = run_cli(capsys, *WITNESS, "--input", "(5, 7)", "--format", fmt)
+    code, out, err = run_cli(capsys, *WITNESS, "--input", "(5, a:(7,0))", "--format", fmt)
+    assert (code, out, err) == rational
+    assert code == 0 and not err
+    if fmt == "json":
+        assert json.loads(out)["b"] == "11/2"
+    else:
+        assert "verdict: counterexample_confirmed" in out.splitlines()
+        assert out.splitlines()[2].startswith("b = 11/2, ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_witness_on_an_irrational_probe_is_a_failure_record(capsys, fmt):
+    code, out, err = run_cli(capsys, *WITNESS, "--input", "(5, a:(0,1))", "--format", fmt)
+    assert code == 1 and not err
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["kind"] == "failure" and doc["analysis"] == "witness"
+        assert "must be rational" in doc["detail"]
+    else:
+        (line,) = out.splitlines()
+        assert line.startswith("FALSIFIED [witness]: ") and "must be rational" in line
+
+
 # -- cantor ----------------------------------------------------------------------
 
 def test_cantor_decompose_spec_line(capsys):
